@@ -3,15 +3,18 @@ kernels and solves, homology of a two-step integer complex, and torsion
 certificate checking.
 
 Matrices cross the API as lists of rows of Python ints, so results are exact
-no matter the size.  Internally elimination runs on numpy int64 for speed
+no matter the size.  Internally SNF elimination runs on numpy int64 for speed
 with a magnitude guard; when entries approach the guard the computation
 restarts on an object-dtype array (Python ints, still vectorized, still
-exact).
+exact).  Homology first eliminates unit pivots on a sparse Python-int copy
+of d2, so the SNF sees only the residual.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +25,6 @@ __all__ = [
     "smith_normal_form",
     "kernel_basis",
     "solve_integer",
-    "SnfSolver",
     "homology_group",
     "HomologyResult",
     "TorsionCertificate",
@@ -182,63 +184,27 @@ def determinant(m: Matrix) -> int:
     return sign * a[r - 1][r - 1]
 
 
-class SnfSolver:
-    """Reusable integer solver for m x = b built on one SNF computation."""
-
-    def __init__(self, m: Matrix) -> None:
-        self.rows, self.cols = _dims(m)
-        self.S, self.U, self.V = smith_normal_form(m)
-        self.diag = [self.S[i][i] for i in range(min(self.rows, self.cols))]
-        self.rank = sum(1 for d in self.diag if d)
-
-    def solve(self, b: Sequence[int]) -> Optional[list[int]]:
-        """One integer solution of m x = b, or None when none exists."""
-        return self.solve_batch([list(b)])[0]
-
-    def solve_batch(self, bs: Sequence[Sequence[int]]) -> list[Optional[list[int]]]:
-        """Solve m x = b for many right-hand sides off one SNF."""
-        if not bs:
-            return []
-        for b in bs:
-            if len(b) != self.rows:
-                raise ValueError(f"rhs length {len(b)} != {self.rows} rows")
-        bmat = [[b[i] for b in bs] for i in range(self.rows)]
-        ub = mat_mul(self.U, bmat)
-        ys: list[Optional[list[int]]] = []
-        for t in range(len(bs)):
-            y = [0] * self.cols
-            good = True
-            for i in range(self.rows):
-                d = self.diag[i] if i < len(self.diag) else 0
-                v = ub[i][t]
-                if d:
-                    if v % d:
-                        good = False
-                        break
-                    y[i] = v // d
-                elif v:
-                    good = False
-                    break
-            ys.append(y if good else None)
-        good_idx = [t for t, y in enumerate(ys) if y is not None]
-        out: list[Optional[list[int]]] = [None] * len(bs)
-        if good_idx and self.cols:
-            ymat = [[ys[t][i] for t in good_idx] for i in range(self.cols)]
-            xmat = mat_mul(self.V, ymat)
-            for pos, t in enumerate(good_idx):
-                out[t] = [xmat[i][pos] for i in range(self.cols)]
-        elif good_idx:
-            for t in good_idx:
-                out[t] = []
-        return out
-
-    def in_image(self, b: Sequence[int]) -> bool:
-        return self.solve(b) is not None
-
-
 def solve_integer(m: Matrix, b: Sequence[int]) -> Optional[list[int]]:
-    """Integer solution of m x = b, or None iff b is outside the column span."""
-    return SnfSolver(m).solve(b)
+    """Integer solution of m x = b, or None iff b is outside the column span.
+
+    With U m V = S from the SNF, solves S y = U b entrywise and returns V y.
+    """
+    rows, cols = _dims(m)
+    if len(b) != rows:
+        raise ValueError(f"rhs length {len(b)} != {rows} rows")
+    S, U, V = smith_normal_form(m)
+    ub = mat_mul(U, [[v] for v in b])
+    y = [0] * cols
+    for i in range(rows):
+        d = S[i][i] if i < cols else 0
+        v = ub[i][0]
+        if d:
+            if v % d:
+                return None
+            y[i] = v // d
+        elif v:
+            return None
+    return [row[0] for row in mat_mul(V, [[v] for v in y])]
 
 
 def kernel_basis(m: Matrix) -> list[list[int]]:
@@ -317,13 +283,94 @@ class HomologyResult:
         return any(f % 2 == 0 for f in self.invariant_factors)
 
 
+def _cheapest_unit(
+    row: dict[int, int], cols: dict[int, set[int]]
+) -> Optional[tuple[int, int]]:
+    """(Markowitz cost, column) of the row's +-1 entry in the sparsest
+    column, or None when the row has no +-1 entry."""
+    best = None
+    for j, v in row.items():
+        if v == 1 or v == -1:
+            count = len(cols[j])
+            if best is None or count < best[1]:
+                best = (j, count)
+                if count == 1:
+                    break
+    if best is None:
+        return None
+    return (len(row) - 1) * (best[1] - 1), best[0]
+
+
+def _unit_pivot_reduce(m: Matrix) -> tuple[int, Matrix]:
+    """Eliminate +-1 pivots from a sparse copy of m.
+
+    Returns the number p of pivots and the residual: the nonzero rows and
+    columns left once no entry is +-1.  Each step is unimodular, so
+    SNF(m) = I_p (+) SNF(residual).  Pivots go by least Markowitz cost
+    (row nnz - 1)(column nnz - 1).  Rows wait in a heap keyed by the cost
+    of their cheapest unit entry; a key may be stale, so a popped row whose
+    cost has grown is pushed back at its current cost, and each row an
+    elimination changes is pushed anew.
+    """
+    width = len(m[0]) if m else 0
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(m):
+        nz = list(compress(range(width), row))
+        if nz:
+            rows[i] = {j: int(row[j]) for j in nz}
+            for j in nz:
+                cols.setdefault(j, set()).add(i)
+    heap = [(0, i) for i in rows]  # 0 bounds every cost; sorted, so a heap
+    pivots = 0
+    while heap:
+        cost, i = heapq.heappop(heap)
+        row = rows.get(i)
+        unit = None if row is None else _cheapest_unit(row, cols)
+        if unit is None:
+            continue
+        if unit[0] > cost:
+            heapq.heappush(heap, (unit[0], i))
+            continue
+        j = unit[1]
+        p = row[j]
+        pivots += 1
+        del rows[i]
+        for jj in row:
+            cols[jj].discard(i)
+        for t in list(cols[j]):
+            target = rows[t]
+            f = target[j] * p
+            for jj, v in row.items():
+                new = target.get(jj, 0) - f * v
+                if not new:
+                    del target[jj]
+                    cols[jj].discard(t)
+                else:
+                    if jj not in target:
+                        cols[jj].add(t)
+                    target[jj] = new
+            if not target:
+                del rows[t]
+                continue
+            unit = _cheapest_unit(target, cols)
+            if unit is not None:
+                heapq.heappush(heap, (unit[0], t))
+        del cols[j]
+    live = sorted({j for row in rows.values() for j in row})
+    return pivots, [[rows[i].get(j, 0) for j in live] for i in sorted(rows)]
+
+
 def homology_group(d1: Matrix, d2: Matrix) -> HomologyResult:
     """Middle homology of the integer complex  C2 --d2--> C1 --d1--> C0.
 
-    Route: kernel lattice of d1, coordinates of every d2 column in that
-    lattice (always integral since the lattice is saturated), then the SNF
-    of the coordinate matrix.  betti = ker dim - rank; invariant factors are
-    the diagonal entries above 1.
+    C1 / ker d1 embeds in the free group C0, so ker d1 is a direct summand
+    of C1 and the torsion of H1 = ker d1 / im d2 is the torsion of
+    coker d2.  Route: the kernel rank of d1, then +-1 pivots eliminated
+    from a sparse copy of d2 (unimodular steps, so SNF(d2) = I_p (+)
+    SNF(residual)), then the SNF of the residual alone.
+    betti = ker dim - rank d2; invariant factors are the residual's
+    diagonal entries above 1.
 
     Raises ComplexNotExact when d1 d2 != 0.
     """
@@ -335,22 +382,14 @@ def homology_group(d1: Matrix, d2: Matrix) -> HomologyResult:
         prod = mat_mul(d1, d2)
         if any(x for row in prod for x in row):
             raise ComplexNotExact("d1 composed with d2 is nonzero")
-    kernel = kernel_basis(d1)
-    kdim = len(kernel)
-    if kdim == 0 or c2 == 0:
-        return HomologyResult(betti=kdim, invariant_factors=())
-    kmat = [[kernel[j][i] for j in range(kdim)] for i in range(c1)]
-    solver = SnfSolver(kmat)
-    columns = [[d2[i][j] for i in range(r2)] for j in range(c2)]
-    coords = solver.solve_batch(columns)
-    if any(y is None for y in coords):
-        raise ComplexNotExact("a d2 column escapes the kernel lattice of d1")
-    bmat = [[coords[j][i] for j in range(c2)] for i in range(kdim)]
-    S, _, _ = smith_normal_form(bmat)
-    diag = [S[i][i] for i in range(min(kdim, c2))]
-    rank = sum(1 for d in diag if d)
+    kdim = len(kernel_basis(d1))
+    pivots, residual = _unit_pivot_reduce(d2)
+    diag = []
+    if residual:
+        S, _, _ = smith_normal_form(residual)
+        diag = [S[i][i] for i in range(min(len(S), len(S[0])))]
     return HomologyResult(
-        betti=kdim - rank,
+        betti=kdim - pivots - sum(1 for d in diag if d),
         invariant_factors=tuple(d for d in diag if d > 1),
     )
 

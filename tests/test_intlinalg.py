@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from cshom.complexes import build_restricted_complex
 from cshom.errors import ComplexNotExact
+from cshom.graphs import complete_bipartite, complete_graph, petersen_graph
 from cshom.intlinalg import (
     HomologyResult,
-    SnfSolver,
+    _unit_pivot_reduce,
     determinant,
     homology_group,
     kernel_basis,
@@ -16,6 +18,7 @@ from cshom.intlinalg import (
     smith_normal_form,
     solve_integer,
 )
+from cshom.tableaux import Partition
 
 
 def _matrix_suite():
@@ -132,12 +135,11 @@ def test_solve_integer_detects_insolvable():
 
 
 def test_solver_in_image():
-    solver = SnfSolver([[2, 0], [0, 4]])
-    assert solver.in_image([2, 8])
-    assert not solver.in_image([1, 4])
-    batch = solver.solve_batch([[2, 8], [1, 4], [0, 0]])
-    assert batch[0] is not None and batch[1] is None
-    assert batch[2] == [0, 0]
+    m = [[2, 0], [0, 4]]
+    x = solve_integer(m, [2, 8])
+    assert x is not None and mat_vec(m, x) == [2, 8]
+    assert solve_integer(m, [1, 4]) is None
+    assert solve_integer(m, [0, 0]) == [0, 0]
 
 
 def test_kernel_basis_spans_and_saturates():
@@ -194,3 +196,137 @@ def test_mat_mul_basic_and_empty():
     assert mat_mul([], []) == []
     assert mat_mul([[1, 2]], [[3], [4]]) == [[11]]
     assert mat_mul([[1, 2], [3, 4]], [[0, 1], [1, 0]]) == [[2, 1], [4, 3]]
+
+
+def reference_homology(d1, d2):
+    """The three-SNF route that homology_group replaced, kept as its oracle:
+    the kernel lattice of d1, the coordinates of every d2 column in that
+    lattice off one SNF of the kernel matrix, then the SNF of the coordinate
+    matrix."""
+    c1 = len(d1[0]) if d1 else 0
+    c2 = len(d2[0]) if d2 else 0
+    assert c1 == len(d2)
+    if c1 and c2 and any(x for row in mat_mul(d1, d2) for x in row):
+        raise ComplexNotExact("d1 composed with d2 is nonzero")
+    kernel = kernel_basis(d1)
+    kdim = len(kernel)
+    if kdim == 0 or c2 == 0:
+        return HomologyResult(betti=kdim, invariant_factors=())
+    kmat = [[kernel[j][i] for j in range(kdim)] for i in range(c1)]
+    s, u, v = smith_normal_form(kmat)
+    ub = mat_mul(u, d2)
+    # kmat has full column rank, so its first kdim diagonal entries are nonzero
+    y = []
+    for i in range(c1):
+        d = s[i][i] if i < kdim else 0
+        escapes = any(x % d for x in ub[i]) if d else any(ub[i])
+        if escapes:
+            raise ComplexNotExact("a d2 column escapes the kernel lattice of d1")
+        if d:
+            y.append([x // d for x in ub[i]])
+    s, _, _ = smith_normal_form(mat_mul(v, y))
+    diag = _diag(s)
+    return HomologyResult(
+        betti=kdim - sum(1 for d in diag if d),
+        invariant_factors=tuple(d for d in diag if d > 1),
+    )
+
+
+_BIG = (1 << 28) + 3
+
+# entry pools for random d2: generic, no +-1 entry (the residual is all of
+# d2), all zero, and units mixed with entries past the int64 guard
+_ENTRY_POOLS = {
+    "mixed": (0, 0, 0, 1, -1, 2, -2, 3),
+    "no_units": (0, 0, 2, -2, 3, 4, -6),
+    "zero": (0,),
+    "big": (0, 0, 1, -1, _BIG, -2 * _BIG, 3 * _BIG + 1),
+}
+
+
+def _random_exact_pair(rng, pool):
+    """A random d2 and a d1 whose rows are scaled vectors of d2's left
+    kernel, so d1 d2 = 0; a random subset of the kernel keeps betti > 0
+    possible."""
+    rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+    d2 = [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+    left = kernel_basis([list(c) for c in zip(*d2)])
+    d1 = []
+    for vec in left:
+        if rng.random() < 0.7:
+            scale = rng.choice((1, -1, 2, 3))
+            d1.append([scale * x for x in vec])
+    return d1 or [[0] * rows], d2
+
+
+@pytest.mark.parametrize("pool", sorted(_ENTRY_POOLS))
+def test_homology_group_matches_reference_route(pool):
+    rng = random.Random(f"homology:{pool}")
+    for _ in range(40):
+        d1, d2 = _random_exact_pair(rng, _ENTRY_POOLS[pool])
+        assert homology_group(d1, d2) == reference_homology(d1, d2)
+
+
+def test_homology_group_matches_reference_without_d2_columns():
+    rng = random.Random(3)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        d1 = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        d2 = [[] for _ in range(cols)]
+        assert homology_group(d1, d2) == reference_homology(d1, d2)
+
+
+def test_unit_pivots_split_off_the_smith_form():
+    # SNF(m) = I_p (+) SNF(residual), also when the residual passes the guard
+    rng = random.Random(17)
+    for pool in _ENTRY_POOLS.values():
+        for _ in range(25):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            m = [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+            pivots, residual = _unit_pivot_reduce(m)
+            assert all(any(row) for row in residual)
+            assert all(any(col) for col in zip(*residual))
+            tail = [d for d in _diag(smith_normal_form(residual)[0]) if d] if residual else []
+            assert [d for d in _diag(smith_normal_form(m)[0]) if d] == [1] * pivots + tail
+    _, residual = _unit_pivot_reduce([[1, 1, 0], [1, 1 + _BIG, 2 * _BIG], [0, 0, 2]])
+    assert max(abs(x) for row in residual for x in row) >= 1 << 28
+
+
+def test_homology_group_and_reference_reject_non_complex():
+    rng = random.Random(5)
+    cases = 0
+    while cases < 20:
+        d1 = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(3)]
+        d2 = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(4)]
+        if not any(x for row in mat_mul(d1, d2) for x in row):
+            continue
+        cases += 1
+        for route in (homology_group, reference_homology):
+            with pytest.raises(ComplexNotExact):
+                route(d1, d2)
+
+
+# every (graph, shape) the benchmark's homology workload runs, plus all
+# shapes of K5 and K3,3
+_GRAPH_CORPUS = [
+    ("petersen", petersen_graph, k) for k in (2, 3, 4, 5)
+] + [
+    ("K8", lambda: complete_graph(8), k) for k in (2, 3, 4)
+] + [
+    ("K5,5", lambda: complete_bipartite(range(1, 6), range(6, 11)), 2),
+    ("K10", lambda: complete_graph(10), 2),
+    ("K5", lambda: complete_graph(5), 1),
+    ("K5", lambda: complete_graph(5), 2),
+] + [
+    ("K3,3", lambda: complete_bipartite((1, 2, 3), (4, 5, 6)), k) for k in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize(
+    "name,make,k", _GRAPH_CORPUS, ids=[f"{name}-k{k}" for name, _, k in _GRAPH_CORPUS]
+)
+def test_homology_group_matches_reference_on_graph_corpus(name, make, k):
+    g = make()
+    c = build_restricted_complex(g, Partition.two_column(g.n, k))
+    d1, d2 = [list(r) for r in c.d1], [list(r) for r in c.d2]
+    assert homology_group(d1, d2) == reference_homology(d1, d2)
