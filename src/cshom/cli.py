@@ -6,7 +6,7 @@ survey (batch scan a corpus), verify-paper (pinned verification battery).
 
 Exit codes: 0 success; 1 domain outcome against the request (planar input
 for certify, invalid certificate for check, failed battery); 2 malformed
-input; 3 internal failure while constructing a certificate.
+input; 3 internal failure (an unexpected library error, or an aborted survey).
 """
 
 from __future__ import annotations
@@ -140,9 +140,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
     except PlanarInput as exc:
         print(f"planar: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except CshomError as exc:
-        print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     doc = certificate_to_dict(cert)
     _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     if args.out and args.out != "-":
@@ -292,7 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except CshomError as exc:
+        print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

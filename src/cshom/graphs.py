@@ -62,8 +62,7 @@ class Graph:
         return {v: len(nb) for v, nb in self.adjacency().items()}
 
     def has_edge(self, u: int, v: int) -> bool:
-        e = (u, v) if u <= v else (v, u)
-        return e in set(self.edges)
+        return (u, v) in self.edges or (v, u) in self.edges
 
     def relabel(self, mapping: dict[int, int]) -> "Graph":
         """Relabel vertices by a bijection of 1..n."""

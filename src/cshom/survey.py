@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional, Sequence, TextIO
 from .certificates import certificate_to_dict, certify_nonplanar
 from .complexes import build_restricted_complex
 from .errors import CshomError, PlanarInput
-from .graphs import Graph, connected_components, is_planar, parse_graph6, to_graph6
+from .graphs import Graph, is_planar, parse_graph6, to_graph6
 from .intlinalg import homology_group
 from .tableaux import Partition
 
@@ -224,10 +224,7 @@ def write_jsonl(records: Sequence[dict], fh: TextIO) -> None:
 
 
 def _refined_invariants(n: int, edges: tuple[tuple[int, int], ...]) -> list:
-    adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = Graph(n, edges).adjacency()
     inv = {v: len(adj[v]) for v in adj}
     for _ in range(2):
         inv = {
@@ -281,19 +278,20 @@ def _canonical_edges(
 
 def generate_connected_graphs(max_n: int) -> Iterator[Graph]:
     """All connected graphs with 1..max_n vertices, one per isomorphism
-    class, in (n, m, edge list) order.  The representative of each class is
-    the fixed point of the refinement-based canonical labeling."""
+    class in its canonical labeling, in (n, m, edge list) order.  Level n
+    joins a new vertex n to each non-empty subset of 1..n-1 in every graph of
+    level n - 1; no class is missed, because a leaf of a spanning tree is a
+    non-cut vertex, and deleting it leaves a connected graph on n - 1."""
     if not 1 <= max_n <= GENERATOR_MAX_N:
         raise ValueError(f"generator supports 1 <= n <= {GENERATOR_MAX_N}")
-    for n in range(1, max_n + 1):
-        all_pairs = list(itertools.combinations(range(1, n + 1), 2))
-        found: list[tuple[tuple[int, int], ...]] = []
-        for r in range(len(all_pairs) + 1):
-            for combo in itertools.combinations(all_pairs, r):
-                if len(connected_components(n, combo)) != 1:
-                    continue
-                if _canonical_edges(n, combo) == combo:
-                    found.append(combo)
-        found.sort(key=lambda es: (len(es), es))
-        for es in found:
-            yield Graph(n, es)
+    level: list[tuple[tuple[int, int], ...]] = [()]
+    yield Graph(1, ())
+    for n in range(2, max_n + 1):
+        found = {
+            _canonical_edges(n, es + tuple((u, n) for u in nbrs))
+            for es in level
+            for r in range(1, n)
+            for nbrs in itertools.combinations(range(1, n), r)
+        }
+        level = sorted(found, key=lambda es: (len(es), es))
+        yield from (Graph(n, es) for es in level)

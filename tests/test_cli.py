@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from cshom.cli import main
+from cshom.errors import ComplexNotExact
 from cshom.graphs import complete_graph, to_graph6
 
 
@@ -53,6 +56,21 @@ def test_homology_graph6_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(complete_graph(5)) + "\n"))
     assert main(["homology", "-"]) == 0
     assert "order-2 torsion detected: yes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, target", [("homology", "homology_group"), ("certify", "certify_nonplanar")]
+)
+def test_internal_failure_exit_code(tmp_path, capsys, monkeypatch, command, target):
+    def broken(*args):
+        raise ComplexNotExact("d1 d2 != 0")
+
+    monkeypatch.setattr(f"cshom.cli.{target}", broken)
+    g = _write_graph(tmp_path, "k5.txt", K5_EDGE_LIST)
+    assert main([command, g]) == 3
+    err = capsys.readouterr().err
+    assert "internal failure: ComplexNotExact: d1 d2 != 0" in err
+    assert "Traceback" not in err
 
 
 def test_homology_bad_input(tmp_path, capsys):

@@ -34,6 +34,16 @@ def test_from_edges_rejects_out_of_range():
         Graph.from_edges(3, [(1, 4)])
 
 
+def test_has_edge_either_endpoint_order():
+    for g in (
+        Graph.from_edges(4, [(3, 4), (2, 1)]),
+        Graph(4, ((3, 4), (2, 1))),  # unsorted list, one reversed pair
+    ):
+        assert g.has_edge(1, 2) and g.has_edge(2, 1)
+        assert g.has_edge(3, 4) and g.has_edge(4, 3)
+        assert not g.has_edge(1, 3) and not g.has_edge(3, 1)
+
+
 def test_constructors():
     assert complete_graph(5).m == 10
     assert complete_bipartite((1, 2, 3), (4, 5, 6)).m == 9

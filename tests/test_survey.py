@@ -1,9 +1,17 @@
+import itertools
 import json
 import random
 
 import pytest
 
-from cshom.graphs import Graph, complete_graph, cycle_graph, to_graph6
+from cshom.graphs import (
+    Graph,
+    complete_graph,
+    connected_components,
+    cycle_graph,
+    is_connected,
+    to_graph6,
+)
 from cshom.survey import (
     _canonical_edges,
     certificate_filename,
@@ -38,16 +46,44 @@ def test_canonical_form_is_isomorphism_invariant():
         assert _canonical_edges(n, h.edges) == want
 
 
+def reference_connected_graphs(max_n):
+    """Brute-force census: every edge subset on 1..n that is connected and
+    is its own canonical form, in (n, m, edge list) order."""
+    for n in range(1, max_n + 1):
+        all_pairs = list(itertools.combinations(range(1, n + 1), 2))
+        found = []
+        for r in range(len(all_pairs) + 1):
+            for combo in itertools.combinations(all_pairs, r):
+                if len(connected_components(n, combo)) != 1:
+                    continue
+                if _canonical_edges(n, combo) == combo:
+                    found.append(combo)
+        found.sort(key=lambda es: (len(es), es))
+        for es in found:
+            yield Graph(n, es)
+
+
+@pytest.mark.parametrize("max_n", range(1, 7))
+def test_generator_matches_brute_force(max_n):
+    assert list(generate_connected_graphs(max_n)) == list(
+        reference_connected_graphs(max_n)
+    )
+
+
 def test_generator_counts_match_census():
     per_n = {}
-    for g in generate_connected_graphs(5):
+    for g in generate_connected_graphs(7):
+        assert g.is_canonical() and is_connected(g)
+        assert _canonical_edges(g.n, g.edges) == g.edges
         per_n[g.n] = per_n.get(g.n, 0) + 1
-    assert per_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
+    # OEIS A001349: connected graphs on n unlabeled vertices
+    assert per_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 
 def test_generator_rejects_large_n():
-    with pytest.raises(ValueError):
-        list(generate_connected_graphs(8))
+    for max_n in (0, 8):
+        with pytest.raises(ValueError):
+            list(generate_connected_graphs(max_n))
 
 
 def test_survey_one_k5():
