@@ -5,8 +5,9 @@ generator combinations and re-verified on every build.  A certificate for
 an arbitrary non-planar graph is produced by locating a Kuratowski
 subdivision, replaying its subdivisions on the seed while lifting the
 certificate edge by edge, embedding the result as an initial vertex
-segment, and finally transporting everything to the input labeling.  Every
-stage re-solves for the degree-2 witness and re-verifies all three
+segment, and finally transporting everything to the input labeling.  A
+lift reads the source's degree-1 basis and builds only the target complex.
+Every stage re-solves for the degree-2 witness and re-verifies all three
 certificate checks, so any defect in the rewriting surfaces as LiftFailed
 rather than as a wrong certificate.
 """
@@ -14,11 +15,10 @@ rather than as a wrong certificate.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .complexes import RestrictedComplex, build_restricted_complex
+from .complexes import RestrictedComplex, build_restricted_complex, degree1_basis
 from .errors import LiftFailed, NotASubgraph, PlanarInput, StraighteningStalled
 from .graphs import (
     Graph,
@@ -97,6 +97,9 @@ _K5_G = (
     (4, 5, 1, 1), (4, 6, 1, 1), (4, 8, 1, 1),
     (5, 10, 1, -1), (6, 9, 1, -1), (7, 8, 1, 1),
 )
+# The bipartite terms are written for this assignment of labels 1..6 to the
+# two sides; side 0 holds vertex 1.
+_K33_SIDES = ((1, 3, 5), (2, 4, 6))
 _K33_H = ((6, 3, 1), (7, 3, -1), (8, 3, 1), (9, 2, -1))
 _K33_G = (
     (1, 6, 1, 1), (1, 7, 1, -1), (1, 8, 1, 1), (1, 9, 1, 1),
@@ -122,51 +125,31 @@ def _dense_certificate(
 
 
 @functools.cache
-def _bipartite_seed() -> CanonicalSeed:
-    """Fix the vertex bipartition under which the pinned bipartite terms
-    verify.
-
-    The term data presumes a particular assignment of labels 1..6 to the two
-    sides; candidates are scanned in lexicographic order of the class
-    containing vertex 1, and the first one whose complex accepts all term
-    positions and passes every certificate check wins.
-    """
-    shape = Partition.two_column(6, 2)
-    for rest in itertools.combinations(range(2, 7), 2):
-        side_a = (1,) + rest
-        side_b = tuple(v for v in range(1, 7) if v not in side_a)
-        graph = complete_bipartite(side_a, side_b)
-        seed = CanonicalSeed(
-            kind="K33", graph=graph, shape=shape, h_terms=_K33_H, g_terms=_K33_G
-        )
-        try:
-            complex = build_restricted_complex(graph, shape)
-            cert = _dense_certificate(seed, complex)
-        except KeyError:
-            continue
-        if check_certificate(cert, complex).valid:
-            return seed
-    raise AssertionError("no bipartition admits the pinned bipartite terms")
-
-
-@functools.cache
 def canonical_certificates() -> tuple[CanonicalSeed, CanonicalSeed]:
     """The two verified seeds, complete-graph kind first.
 
     Every call path re-verifies both seeds on freshly built complexes; an
     invalid seed is a build-stopping defect.
     """
-    seed5 = CanonicalSeed(
-        kind="K5",
-        graph=complete_graph(5),
-        shape=Partition.two_column(5, 2),
-        h_terms=_K5_H,
-        g_terms=_K5_G,
+    seeds = (
+        CanonicalSeed(
+            kind="K5",
+            graph=complete_graph(5),
+            shape=Partition.two_column(5, 2),
+            h_terms=_K5_H,
+            g_terms=_K5_G,
+        ),
+        CanonicalSeed(
+            kind="K33",
+            graph=complete_bipartite(*_K33_SIDES),
+            shape=Partition.two_column(6, 2),
+            h_terms=_K33_H,
+            g_terms=_K33_G,
+        ),
     )
-    complex5 = build_restricted_complex(seed5.graph, seed5.shape)
-    if not check_certificate(_dense_certificate(seed5, complex5), complex5).valid:
-        raise AssertionError("complete-graph seed failed verification")
-    return seed5, _bipartite_seed()
+    for seed in seeds:
+        seed_certificate(seed)
+    return seeds
 
 
 def seed_certificate(seed: CanonicalSeed) -> TorsionCertificate:
@@ -209,10 +192,6 @@ def _cascade_terms(
     return leaves
 
 
-def _rebuild(cert: TorsionCertificate) -> RestrictedComplex:
-    return build_restricted_complex(cert.graph, cert.shape)
-
-
 def _finish_lift(
     complex: RestrictedComplex, h: list[int], prime: int, stage: str
 ) -> TorsionCertificate:
@@ -251,16 +230,16 @@ def lift_subdivision(
     e = (min(edge), max(edge))
     if e not in g.edges:
         raise ValueError(f"{edge!r} is not an edge of the certificate graph")
-    old = _rebuild(cert)
+    old_basis1 = degree1_basis(g, cert.shape)
     g_new = subdivide(g, e)
-    shape_new = Partition.two_column(g_new.n, old.k)
+    shape_new = Partition.two_column(g_new.n, cert.shape.two_column_rows())
     new = build_restricted_complex(g_new, shape_new)
 
     pairs: list[tuple[Numbering, int]] = []
     for col, coeff in enumerate(cert.h):
         if not coeff:
             continue
-        filling = old.basis1[col][2]
+        filling = old_basis1[col][2]
         if filling.rows[0] == e:
             for sgn, leaf in _cascade_terms(filling, g_new.n):
                 pairs.append((leaf, sgn * coeff))
@@ -304,7 +283,7 @@ def lift_subgraph(
 
     identity = host == g and all(emb[v] == v for v in range(1, g.n + 1))
     if identity:
-        verdict = check_certificate(cert, _rebuild(cert))
+        verdict = recheck_certificate(cert)
         if not verdict.valid:
             raise LiftFailed(f"identity embedding: stored certificate fails {verdict}")
         return cert
@@ -316,12 +295,12 @@ def lift_subgraph(
     tau_inv = {w: t for t, w in tau.items()}
     g_mid = host.relabel(tau_inv)
 
-    old = _rebuild(cert)
-    shape_big = Partition.two_column(host.n, old.k)
+    old_basis1 = degree1_basis(g, cert.shape)
+    shape_big = Partition.two_column(host.n, cert.shape.two_column_rows())
     mid = build_restricted_complex(g_mid, shape_big)
     boxes = tuple((t,) for t in range(g.n + 1, host.n + 1))
     pairs = [
-        (Numbering(old.basis1[col][2].rows + boxes), coeff)
+        (Numbering(old_basis1[col][2].rows + boxes), coeff)
         for col, coeff in enumerate(cert.h)
         if coeff
     ]
@@ -372,12 +351,7 @@ def certify_nonplanar(g: Graph) -> TorsionCertificate:
     if witness.kind == "K5":
         seed_labels = list(range(1, 6))
     else:
-        # side of the seed bipartition containing 1 = the non-neighbors of 1
-        side_a = sorted(
-            v for v in range(1, 7) if v == 1 or not seed.graph.has_edge(1, v)
-        )
-        side_b = sorted(v for v in range(1, 7) if v not in side_a)
-        seed_labels = side_a + side_b
+        seed_labels = list(_K33_SIDES[0] + _K33_SIDES[1])
 
     vertex_map = {
         seed_labels[pos]: user for pos, user in enumerate(witness.branch_vertices)
@@ -419,7 +393,7 @@ def certify_nonplanar(g: Graph) -> TorsionCertificate:
 
 def recheck_certificate(cert: TorsionCertificate) -> CertificateVerdict:
     """Verify a certificate against a freshly built complex."""
-    return check_certificate(cert, _rebuild(cert))
+    return check_certificate(cert, build_restricted_complex(cert.graph, cert.shape))
 
 
 def _step_to_dict(step: LiftStep) -> dict:
@@ -444,7 +418,11 @@ def certificate_to_dict(
     1-based in the graph's lexicographic edge order.  The emitted verdict is
     computed here, never copied from the input.
     """
-    c = complex if complex is not None else _rebuild(cert)
+    c = (
+        complex
+        if complex is not None
+        else build_restricted_complex(cert.graph, cert.shape)
+    )
     verdict = check_certificate(cert, c)
     h = {
         f"{i},{j}": cert.h[col]
@@ -503,23 +481,26 @@ def certificate_from_dict(
         )
         shape = Partition(tuple(int(p) for p in doc["shape"]))
         prime = int(doc["prime"])
+        h_doc, x_doc = doc["h"], doc["witness_x"]
+        if not isinstance(h_doc, Mapping) or not isinstance(x_doc, Mapping):
+            raise TypeError("h and witness_x must be JSON objects")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed certificate document: {exc}") from exc
     c = complex if complex is not None else build_restricted_complex(graph, shape)
     if c.graph != graph or c.shape != shape:
         raise ValueError("supplied complex does not match the document")
     h = [0] * len(c.basis1)
-    for key, val in doc["h"].items():
+    for key, val in h_doc.items():
         try:
             i, j = (int(t) for t in key.split(","))
             h[c.column_of_edge_copy[(i, j)]] += int(val)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"cycle entry {key!r} does not bind") from exc
     x = [0] * len(c.basis2)
-    for key, val in doc["witness_x"].items():
+    for key, val in x_doc.items():
         try:
             i, j, l = (int(t) for t in key.split(","))
             x[c.column_of_pair_copy[(i, j, l)]] += int(val)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"witness entry {key!r} does not bind") from exc
     return TorsionCertificate(graph=graph, shape=shape, h=h, witness_x=x, prime=prime)

@@ -181,6 +181,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_survey(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         if args.generate is not None:
             items: list = list(generate_connected_graphs(args.generate))

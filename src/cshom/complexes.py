@@ -89,12 +89,15 @@ def _standard_below(nb: Numbering, frozen_rows: int) -> bool:
     return True
 
 
-def build_restricted_complex(g: Graph, shape: Partition) -> RestrictedComplex:
-    """Assemble bases and differentials; the composite d1 d2 is asserted zero.
+def degree1_basis(
+    g: Graph, shape: Partition
+) -> tuple[tuple[int, int, Numbering], ...]:
+    """Degree-1 basis rows (edge_index, copy, filling) of g at the shape.
 
     Requires a canonical (sorted, loop-free) graph and a two-column shape
-    with k >= 1 length-2 rows summing to n.  With k = 1 the degree-2 group
-    is empty by definition, so d2 has no columns.
+    with k >= 1 length-2 rows summing to n.  Each edge contributes one
+    block of K standardized fillings whose top row is the edge, standard
+    below it and listed in ascending order.
     """
     g.assert_canonical()
     if shape.n != g.n:
@@ -103,14 +106,9 @@ def build_restricted_complex(g: Graph, shape: Partition) -> RestrictedComplex:
     if k is None or k < 1:
         raise ValueError(f"shape {shape.parts!r} is not (2^k, 1^*) with k >= 1")
 
-    basis0 = enumerate_syt(shape)
-    n = g.n
-
-    mu = Partition((2,) + (1,) * (n - 2))
+    mu = Partition((2,) + (1,) * (g.n - 2))
     patterns = enumerate_ssyt(shape, mu)
-    kcopies = len(patterns)
     basis1: list[tuple[int, int, Numbering]] = []
-    blocks1: list[list[Numbering]] = []
     for i, e in enumerate(g.edges, start=1):
         t_e = numbering_of_subgraph(g, (e,))
         block = [standardize(z, t_e) for z in patterns]
@@ -121,10 +119,25 @@ def build_restricted_complex(g: Graph, shape: Partition) -> RestrictedComplex:
                 raise AssertionError(f"filling {x.rows!r} is not standard below the edge")
         if [x.rows for x in sorted(block, key=Numbering.key)] != [x.rows for x in block]:
             raise AssertionError("edge block must be listed in ascending order")
-        blocks1.append(block)
         basis1.extend((i, j, x) for j, x in enumerate(block, start=1))
+    return tuple(basis1)
 
-    d1_cols = [straighten(x, basis0) for _, _, x in basis1]
+
+def build_restricted_complex(g: Graph, shape: Partition) -> RestrictedComplex:
+    """Assemble bases and differentials; the composite d1 d2 is asserted zero.
+
+    Requires a canonical (sorted, loop-free) graph and a two-column shape
+    with k >= 1 length-2 rows summing to n.  With k = 1 the degree-2 group
+    is empty by definition, so d2 has no columns.
+    """
+    basis1 = degree1_basis(g, shape)
+    k = shape.two_column_rows()
+    basis0 = enumerate_syt(shape)
+    n = g.n
+    fillings1 = [x for _, _, x in basis1]
+    kcopies = len(basis1) // g.m if g.m else 0
+
+    d1_cols = [straighten(x, basis0) for x in fillings1]
     d1 = tuple(
         tuple(d1_cols[c][r] for c in range(len(basis1)))
         for r in range(len(basis0))
@@ -138,6 +151,8 @@ def build_restricted_complex(g: Graph, shape: Partition) -> RestrictedComplex:
         w_patterns = enumerate_ssyt(shape, nu)
         for i0, j0 in noncons:
             ei, ej = g.edges[i0], g.edges[j0]
+            block_i = fillings1[i0 * kcopies : (i0 + 1) * kcopies]
+            block_j = fillings1[j0 * kcopies : (j0 + 1) * kcopies]
             t_f = numbering_of_subgraph(g, (ei, ej))
             for l, pat in enumerate(w_patterns, start=1):
                 w = standardize(pat, t_f)
@@ -148,9 +163,9 @@ def build_restricted_complex(g: Graph, shape: Partition) -> RestrictedComplex:
                 basis2.append(((i0 + 1, j0 + 1), l, w))
                 col = [0] * len(basis1)
                 kept_j = Numbering((w.rows[1], w.rows[0]) + w.rows[2:])
-                for s, v in enumerate(straighten(kept_j, blocks1[j0], frozen_rows=1)):
+                for s, v in enumerate(straighten(kept_j, block_j, frozen_rows=1)):
                     col[j0 * kcopies + s] = v
-                for s, v in enumerate(straighten(w, blocks1[i0], frozen_rows=1)):
+                for s, v in enumerate(straighten(w, block_i, frozen_rows=1)):
                     col[i0 * kcopies + s] = -v
                 d2_cols.append(col)
 
@@ -170,7 +185,7 @@ def build_restricted_complex(g: Graph, shape: Partition) -> RestrictedComplex:
         graph=g,
         shape=shape,
         basis0=basis0,
-        basis1=tuple(basis1),
+        basis1=basis1,
         basis2=tuple(basis2),
         d1=d1,
         d2=d2,

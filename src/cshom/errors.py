@@ -25,7 +25,8 @@ class NonIntegerSolution(CshomError):
 
 
 class StraighteningStalled(CshomError):
-    """Rewriting exceeded its budget and no oracle route is available."""
+    """Rewriting met a standard term outside the basis or exceeded its
+    step budget."""
 
 
 class ComplexNotExact(CshomError):

@@ -1,5 +1,8 @@
 """Group-algebra oracle for the restricted complexes.
 
+A test oracle: the tests compare the rewriting route against it, and no
+runtime module of the package (library or CLI) imports or calls it.
+
 Chain generators are expanded literally as signed permutation sums: the
 generator attached to a numbering S with reference R is
 
@@ -39,7 +42,6 @@ from .tableaux import (
 __all__ = [
     "specht_vector",
     "expand_in_basis",
-    "expand_numberings",
     "permutation_module_basis",
     "oracle_restricted_matrices",
     "full_h1_small",
@@ -163,27 +165,6 @@ def expand_in_basis(
     if any(c.denominator != 1 for c in coeffs):
         raise NonIntegerSolution(f"rational coordinates: {coeffs!r}")
     return [int(c) for c in coeffs]
-
-
-def expand_numberings(
-    terms: Iterable[tuple[Numbering, int]], basis: Sequence[Numbering]
-) -> list[int]:
-    """Straightening fallback: expand a numbering combination over numbering
-    basis elements at the group-algebra level."""
-    terms = [(nb, c) for nb, c in terms if c]
-    if not terms:
-        return [0] * len(basis)
-    shape = terms[0][0].shape
-    ref = enumerate_syt(shape)[0]
-    vec: GAVector = {}
-    for nb, c in terms:
-        for key, v in specht_vector(nb, ref).items():
-            nv = vec.get(key, 0) + c * v
-            if nv:
-                vec[key] = nv
-            else:
-                vec.pop(key, None)
-    return expand_in_basis(vec, [specht_vector(b, ref) for b in basis])
 
 
 def _check_oracle_bound(n: int, bound: int, what: str) -> None:

@@ -144,9 +144,10 @@ def run_survey(
     """Survey a corpus, returning records sorted by (n, m, id).
 
     Graphs may be Graph objects or graph6 strings.  Cached entries are
-    reused verbatim; misses are computed (in parallel when jobs > 1) and
-    persisted by the parent process only.  When cert_dir is set, every
-    certificate document is written there, cache hit or not.
+    reused verbatim; misses are computed (by min(jobs, misses, CPUs) worker
+    processes when that exceeds 1) and persisted by the parent process
+    only.  When cert_dir is set, every certificate document is written
+    there, cache hit or not.
     """
     ids: list[str] = []
     seen: set[str] = set()
@@ -168,8 +169,9 @@ def run_survey(
             missing.append(g6)
 
     if missing:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(missing), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 computed = list(pool.map(survey_one, missing))
         else:
             computed = [survey_one(g6) for g6 in missing]

@@ -3,8 +3,8 @@ relations, and straightening into standard bases.
 
 Everything works on explicit row tuples with plain integer entries; no group
 algebra elements are materialized here.  The tabloid-level machinery in
-groupalg.py provides the independent cross-check and the fallback route for
-straighten when the rewrite stalls.
+groupalg.py is the independent cross-check that tests run against this
+module.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import NotInSpan, StraighteningStalled
+from .errors import StraighteningStalled
 from .graphs import Graph, connected_components
 from .perms import sort_sign
 
@@ -387,13 +387,11 @@ def _violation(
 
 TermsLike = Union[Numbering, NumberingVector, Iterable[tuple[Numbering, int]]]
 
+STRAIGHTEN_STEP_LIMIT = 1_000_000
+
 
 def straighten(
-    v: TermsLike,
-    basis: Sequence[Numbering],
-    frozen_rows: int = 0,
-    *,
-    step_limit: int = 1_000_000,
+    v: TermsLike, basis: Sequence[Numbering], frozen_rows: int = 0
 ) -> list[int]:
     """Integer coefficients of v over basis, by exchange-relation rewriting.
 
@@ -404,10 +402,8 @@ def straighten(
     decreases, so on two-column shapes the loop always reaches fillings
     with no violations; those must be basis members.
 
-    If the step budget is exhausted, or a violation-free term is not in the
-    basis, the tabloid oracle decides instead (n <= 7 only); past that
-    StraighteningStalled is raised.  NotInSpan propagates from the oracle
-    when v is provably outside the basis span.
+    Raises StraighteningStalled when a violation-free term is not in the
+    basis, or when the rewrite exceeds STRAIGHTEN_STEP_LIMIT steps.
     """
     index: dict[Numbering, int] = {}
     for pos, b in enumerate(basis):
@@ -430,20 +426,21 @@ def straighten(
         sgn, canon = canonicalize(nb, frozen_rows)
         work.append((c * sgn, canon))
 
-    stalled = False
     steps = 0
     while work:
         steps += 1
-        if steps > step_limit:
-            stalled = True
-            break
+        if steps > STRAIGHTEN_STEP_LIMIT:
+            raise StraighteningStalled(
+                f"rewrite did not settle within {STRAIGHTEN_STEP_LIMIT} steps"
+            )
         c, s = work.pop()
         hit = _violation(s.rows, frozen_rows)
         if hit is None:
             pos = index.get(s)
             if pos is None:
-                stalled = True
-                break
+                raise StraighteningStalled(
+                    f"violation-free term {s.rows!r} is not in the basis"
+                )
             out[pos] += c
             continue
         r, col = hit
@@ -455,15 +452,4 @@ def straighten(
             sgn, canon = canonicalize(nb, frozen_rows)
             work.append((-c * sgn, canon))
 
-    if not stalled:
-        return out
-
-    n = max((nb.n for nb, _ in pairs), default=0)
-    if n > 7:
-        raise StraighteningStalled(
-            f"rewrite did not settle within {step_limit} steps and the "
-            f"oracle bound (n <= 7) excludes n={n}"
-        )
-    from . import groupalg  # deferred: groupalg imports this module
-
-    return groupalg.expand_numberings(pairs, basis)
+    return out

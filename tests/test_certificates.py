@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import cshom.certificates
 from cshom.certificates import (
     canonical_certificates,
     certificate_from_dict,
@@ -138,6 +139,30 @@ def test_certify_nonplanar_end_to_end(g):
     assert sorted(cert.vertex_map.values()) == sorted(set(cert.vertex_map.values()))
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        subdivide(subdivide(subdivide(complete_graph(5), (1, 2)), (3, 4)), (1, 6)),
+        petersen_graph(),
+    ],
+    ids=["k5-subdivided-thrice", "petersen"],
+)
+def test_certify_builds_each_stage_once(g, monkeypatch):
+    canonical_certificates()
+    builds = []
+    original = cshom.certificates.build_restricted_complex
+
+    def counting(graph, shape):
+        builds.append(graph)
+        return original(graph, shape)
+
+    monkeypatch.setattr(cshom.certificates, "build_restricted_complex", counting)
+    cert = certify_nonplanar(g)
+    s = sum(1 for step in cert.trace.steps if step.op == "subdivide")
+    # one seed complex, one per subdivision, the segment and the host
+    assert len(builds) <= s + 3
+
+
 def test_certificate_dict_round_trip():
     cert = certify_nonplanar(complete_graph(5))
     doc = certificate_to_dict(cert)
@@ -165,6 +190,15 @@ def test_certificate_from_dict_rejects_bad_documents():
         certificate_from_dict(bad)
     bad = json.loads(json.dumps(doc))
     bad["witness_x"]["1,1"] = 1  # wrong arity for a degree-2 key
+    with pytest.raises(ValueError):
+        certificate_from_dict(bad)
+    for field, value in (("h", []), ("h", None), ("witness_x", [1]), ("h", {"1,1": [1]})):
+        bad = json.loads(json.dumps(doc))
+        bad[field] = value
+        with pytest.raises(ValueError):
+            certificate_from_dict(bad)
+    bad = json.loads(json.dumps(doc))
+    del bad["h"]
     with pytest.raises(ValueError):
         certificate_from_dict(bad)
 

@@ -124,6 +124,29 @@ def test_check_unbindable_certificate(tmp_path, capsys):
     assert "does not bind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("h", []), ("h", None), ("witness_x", [1]), ("h", "missing")],
+    ids=["h-list", "h-null", "witness-list", "h-missing"],
+)
+def test_check_non_object_fields(tmp_path, capsys, field, value):
+    g = _write_graph(tmp_path, "k5.txt", K5_EDGE_LIST)
+    cert = str(tmp_path / "k5.cert.json")
+    assert main(["certify", g, "--out", cert]) == 0
+    doc = json.loads(open(cert).read())
+    if value == "missing":
+        del doc[field]
+    else:
+        doc[field] = value
+    bad = str(tmp_path / "bad.cert.json")
+    open(bad, "w").write(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", bad]) == 2
+    err = capsys.readouterr().err
+    assert "does not bind" in err
+    assert "Traceback" not in err
+
+
 def test_check_garbage_file(tmp_path, capsys):
     p = tmp_path / "junk.json"
     p.write_text("{")
@@ -166,6 +189,14 @@ def test_survey_corpus_file(tmp_path, capsys):
 
 def test_survey_without_input(capsys):
     assert main(["survey"]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_survey_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    cache = str(tmp_path / "cache")
+    assert main(["survey", "--generate", "3", "--cache", cache, "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()
 
 
 def test_verify_paper_pass_and_sabotage(capsys):

@@ -126,6 +126,36 @@ def test_run_survey_parallel_matches_serial(tmp_path):
     assert strip_timing(serial) == strip_timing(parallel)
 
 
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [(64, 8, 3), (2, 8, 2), (64, 2, 2), (64, None, None), (1, 8, None)],
+)
+def test_run_survey_caps_workers(tmp_path, monkeypatch, jobs, cpus, workers):
+    created = []
+
+    class SerialPool:
+        """Records max_workers and maps in this process; starts no worker."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("cshom.survey.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("cshom.survey.os.cpu_count", lambda: cpus)
+    graphs = [complete_graph(5), cycle_graph(4), cycle_graph(5)]
+    records = run_survey(graphs, cache_dir=str(tmp_path / "cache"), jobs=jobs)
+    assert len(records) == 3
+    assert created == ([] if workers is None else [workers])
+
+
 def test_run_survey_writes_verifiable_certificates(tmp_path):
     certs = tmp_path / "certs"
     run_survey(

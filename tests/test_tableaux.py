@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from cshom.errors import StraighteningStalled
 from cshom.groupalg import expand_in_basis, specht_vector
 from cshom.tableaux import (
     Numbering,
@@ -250,6 +251,15 @@ def test_straighten_linear_combination_input():
     a = straighten(pairs[0][0], basis)
     b = straighten(pairs[1][0], basis)
     assert got == [2 * x + y for x, y in zip(a, b)]
+
+
+def test_straighten_stalls_outside_basis_and_past_budget(monkeypatch):
+    syt = enumerate_syt(Partition((2, 2, 1)))
+    with pytest.raises(StraighteningStalled, match="not in the basis"):
+        straighten(syt[0], syt[1:])
+    monkeypatch.setattr("cshom.tableaux.STRAIGHTEN_STEP_LIMIT", 0)
+    with pytest.raises(StraighteningStalled, match="did not settle"):
+        straighten(syt[0], syt)
 
 
 def test_numbering_vector_accumulates_canonical_terms():
