@@ -400,9 +400,14 @@ def _complete_paths(
     return tuple(paths) if bt(0) else None
 
 
-def find_kuratowski_subdivision(g: Graph) -> SubdivisionWitness | None:
-    """Exhaustive search for a K5 or K3,3 subdivision; None if planar."""
-    g.assert_canonical()
+def _search_subdivision(g: Graph) -> SubdivisionWitness | None:
+    """Exhaustive search for a K5 or K3,3 subdivision; None when none exists.
+
+    Branch sets are tried in lexicographic order, so the witness found is a
+    function of the labelled graph alone.  Exponential in the worst case and
+    on every planar input, so only `find_kuratowski_subdivision` calls it,
+    after `is_planar` has ruled planar input out.
+    """
     deg = g.degrees()
     if g.m >= 10:
         quads = sorted(v for v in deg if deg[v] >= 4)
@@ -424,6 +429,219 @@ def find_kuratowski_subdivision(g: Graph) -> SubdivisionWitness | None:
     return None
 
 
+def find_kuratowski_subdivision(g: Graph) -> SubdivisionWitness | None:
+    """A K5 or K3,3 subdivision inside g, or None when g is planar.
+
+    Planarity is decided first by `is_planar` in polynomial time; only a
+    non-planar graph reaches the exhaustive branch-set search, whose witness
+    depends on the labelled graph alone.  A search that comes back empty on
+    a graph the planarity test rejected is a defect and raises
+    AssertionError rather than returning None, which would read as planar.
+    """
+    if is_planar(g):
+        return None
+    witness = _search_subdivision(g)
+    if witness is None:
+        raise AssertionError(
+            f"planarity test rejected a graph with {g.m} edges "
+            "but the search found no Kuratowski subdivision"
+        )
+    return witness
+
+
+def _biconnected_blocks(n: int, adj: dict[int, set[int]]) -> list[list[Edge]]:
+    """Edge sets of the biconnected blocks, by Tarjan's lowpoint pass.
+
+    The depth-first search keeps an explicit stack, so deep graphs such as
+    long cycles do not hit the interpreter's recursion limit.
+    """
+    disc = [0] * (n + 1)
+    low = [0] * (n + 1)
+    clock = 0
+    blocks: list[list[Edge]] = []
+    edge_stack: list[Edge] = []
+    for root in range(1, n + 1):
+        if disc[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        stack = [(root, 0, iter(sorted(adj[root])))]
+        while stack:
+            v, parent, nbrs = stack[-1]
+            for w in nbrs:
+                if not disc[w]:
+                    edge_stack.append((v, w))
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    stack.append((w, v, iter(sorted(adj[w]))))
+                    break
+                if w != parent and disc[w] < disc[v]:  # back edge to an ancestor
+                    edge_stack.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:  # u separates v's subtree: close a block
+                    block: list[Edge] = []
+                    while True:
+                        e = edge_stack.pop()
+                        block.append(e)
+                        if e == (u, v):
+                            break
+                    blocks.append(block)
+    return blocks
+
+
+def _some_cycle(adj: dict[int, list[int]]) -> list[int]:
+    """A cycle of the graph as a vertex list: the first edge outside the
+    search tree, closed through the tree."""
+    start = min(adj)
+    parent = {start: 0}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w == parent[v]:
+                continue
+            if w in parent:  # non-tree edge: close the cycle through the tree
+                path_v = [v]
+                while path_v[-1] != start:
+                    path_v.append(parent[path_v[-1]])
+                on_v = set(path_v)
+                path_w = [w]
+                while path_w[-1] not in on_v:
+                    path_w.append(parent[path_w[-1]])
+                top = path_w[-1]
+                return path_v[: path_v.index(top) + 1] + path_w[-2::-1]
+            parent[w] = v
+            stack.append(w)
+    raise ValueError("graph has no cycle")
+
+
+def _path_addition_planar(block: list[Edge]) -> bool:
+    """Planarity of one biconnected block by Demoucron, Malgrange and
+    Pertuiset's path addition (1964).
+
+    Start from an embedded cycle with its two faces.  Each round splits the
+    rest of the block into fragments: an unembedded edge between embedded
+    vertices, or a component of the unembedded vertices with the edges
+    attaching it.  A fragment fits a face that holds all its attachment
+    vertices.  No fitting face means non-planar; otherwise a fragment with
+    the fewest fitting faces contributes a path between two of its
+    attachments, drawn across its first fitting face.
+    """
+    edges = sorted((u, v) if u < v else (v, u) for u, v in block)
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if len(edges) > 3 * len(adj) - 6:
+        return False
+    cycle = _some_cycle(adj)
+    faces: list[list[int]] = [cycle, list(cycle)]
+    faces_at: dict[int, set[int]] = {v: {0, 1} for v in cycle}
+    drawn: set[Edge] = {
+        (a, b) if a < b else (b, a) for a, b in zip(cycle, cycle[1:] + cycle[:1])
+    }
+    while len(drawn) < len(edges):
+        best = None
+        for attach, comp in _fragments(adj, edges, faces_at, drawn):
+            fits = set.intersection(*(faces_at[a] for a in attach))
+            if not fits:
+                return False
+            if best is None or len(fits) < len(best[2]):
+                best = (attach, comp, fits)
+                if len(fits) == 1:
+                    break
+        attach, comp, fits = best
+        path = _bridge_path(adj, faces_at, comp, min(attach)) if comp else list(attach)
+        f = min(fits)
+        face = faces[f]
+        i, j = face.index(path[0]), face.index(path[-1])
+        if i < j:
+            arc_ab, arc_ba = face[i : j + 1], face[j:] + face[: i + 1]
+        else:
+            arc_ab, arc_ba = face[i:] + face[: j + 1], face[j : i + 1]
+        inner = path[1:-1]
+        faces[f] = arc_ab + inner[::-1]
+        faces.append(arc_ba + inner)
+        for v in face:
+            faces_at[v].discard(f)
+        for v in inner:
+            faces_at[v] = set()
+        for k in (f, len(faces) - 1):
+            for v in faces[k]:
+                faces_at[v].add(k)
+        drawn.update((a, b) if a < b else (b, a) for a, b in zip(path, path[1:]))
+    return True
+
+
+def _fragments(
+    adj: dict[int, list[int]],
+    edges: list[Edge],
+    faces_at: dict[int, set[int]],
+    drawn: set[Edge],
+) -> Iterator[tuple[Iterable[int], list[int]]]:
+    """Fragments of a partly drawn block as (attachments, unembedded vertices).
+
+    A fragment that is a single edge between drawn vertices has no
+    unembedded vertices and its endpoints as attachments.
+    """
+    for e in edges:
+        if e not in drawn and e[0] in faces_at and e[1] in faces_at:
+            yield e, []
+    seen: set[int] = set()
+    for s in adj:
+        if s in faces_at or s in seen:
+            continue
+        seen.add(s)
+        comp, attach = [s], set()
+        for v in comp:
+            for w in adj[v]:
+                if w in faces_at:
+                    attach.add(w)
+                elif w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        yield attach, comp
+
+
+def _bridge_path(
+    adj: dict[int, list[int]], faces_at: dict[int, set[int]], comp: list[int], a: int
+) -> list[int]:
+    """A path from attachment a through comp to another drawn vertex."""
+    inside = set(comp)
+    parent = {a: a}
+    queue = [a]
+    for v in queue:
+        for w in adj[v]:
+            if w in inside:
+                if w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+            elif v != a and w != a and w in faces_at:
+                path = [w, v]
+                while path[-1] != a:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+    raise ValueError("fragment has a single attachment; block is not biconnected")
+
+
 def is_planar(g: Graph) -> bool:
-    """Planarity by absence of a Kuratowski subdivision."""
-    return find_kuratowski_subdivision(g) is None
+    """Planarity in polynomial time, by path addition on each block.
+
+    Fewer than 9 edges is planar (K3,3 has 9, K5 has 10) and more than
+    3n - 6 is not (Euler).  Otherwise the graph is planar exactly when each
+    of its biconnected blocks is; a block with fewer than 9 edges is, and
+    each larger block goes to `_path_addition_planar`, O(n^2) per block.
+    """
+    g.assert_canonical()
+    if g.m < 9:
+        return True
+    if g.m > 3 * g.n - 6:
+        return False
+    blocks = _biconnected_blocks(g.n, g.adjacency())
+    return all(len(b) < 9 or _path_addition_planar(b) for b in blocks)

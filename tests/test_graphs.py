@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from cshom import graphs
+from cshom.cli import main
 from cshom.graphs import (
     Graph,
     SubdivisionWitness,
+    _search_subdivision,
     complete_bipartite,
     complete_graph,
     connected_components,
@@ -22,6 +25,7 @@ from cshom.graphs import (
     subdivide,
     to_graph6,
 )
+from cshom.survey import generate_connected_graphs
 
 
 def test_from_edges_sorts_endpoints_and_list():
@@ -186,3 +190,110 @@ def test_relabel():
     assert h == complete_bipartite((1, 3, 5), (2, 4, 6))
     with pytest.raises(ValueError):
         g.relabel({1: 1})
+
+
+def grid_graph(rows, cols):
+    def v(i, j):
+        return i * cols + j + 1
+
+    edges = [(v(i, j), v(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [(v(i, j), v(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def test_planarity_matches_exhaustive_search_on_census():
+    planar_by_n = {}
+    nonplanar = []
+    for g in generate_connected_graphs(7):
+        witness = _search_subdivision(g)
+        assert is_planar(g) == (witness is None)
+        planar_by_n[g.n] = planar_by_n.get(g.n, 0) + (witness is None)
+        if witness is not None:
+            nonplanar.append((g, witness))
+    # connected planar graphs per n (OEIS A003094)
+    assert planar_by_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 20, 6: 99, 7: 646}
+    assert len(nonplanar) == 221
+    for g, witness in nonplanar:
+        assert find_kuratowski_subdivision(g) == witness
+
+
+def _placed(n, *parts):
+    """A graph on 1..n with each (edges, shift) part moved up by shift."""
+    return Graph.from_edges(n, [(u + s, v + s) for es, s in parts for u, v in es])
+
+
+K5 = complete_graph(5)
+K33 = complete_bipartite((1, 2, 3), (4, 5, 6))
+K4 = complete_graph(4)
+
+
+@pytest.mark.parametrize(
+    "g, planar",
+    [
+        (_placed(8, (K5.edges, 0), (path_graph(3).edges, 5)), False),
+        (_placed(9, (K33.edges, 0), (K4.edges, 5)), False),  # cut vertex 6
+        (Graph(9, K5.edges), False),
+        (cycle_graph(3000), True),
+        (_placed(1201, *[(K4.edges, 3 * i) for i in range(400)]), True),
+    ],
+    ids=[
+        "K5-plus-path-component",
+        "K33-K4-at-cut-vertex",
+        "K5-isolated-vertices",
+        "long-cycle",
+        "chain-of-400-K4",
+    ],
+)
+def test_planarity_hand_made_cases(g, planar):
+    assert is_planar(g) is planar
+    witness = find_kuratowski_subdivision(g)
+    assert (witness is None) is planar
+    if witness is not None:
+        witness.validate(g)
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 5), (5, 5), (30, 30)])
+def test_grids_are_planar(rows, cols):
+    g = grid_graph(rows, cols)
+    assert is_planar(g)
+    assert find_kuratowski_subdivision(g) is None
+
+
+def test_planarity_agrees_with_networkx_on_random_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2024)
+    seen = {True: 0, False: 0}
+    for _ in range(600):
+        n = rng.randint(5, 30)
+        p = rng.uniform(1.0, 3.0) / (n - 1)  # mean degree 2..6
+        edges = [
+            (u, v)
+            for u in range(1, n + 1)
+            for v in range(u + 1, n + 1)
+            if rng.random() < p
+        ]
+        g = Graph.from_edges(n, edges)
+        other = nx.Graph()
+        other.add_nodes_from(range(1, n + 1))
+        other.add_edges_from(edges)
+        expected = nx.check_planarity(other)[0]
+        assert is_planar(g) == expected, g
+        seen[expected] += 1
+    # the corpus exercises both answers
+    assert min(seen.values()) >= 100
+
+
+def test_search_miss_on_nonplanar_input_raises(monkeypatch):
+    monkeypatch.setattr(graphs, "_search_subdivision", lambda g: None)
+    with pytest.raises(AssertionError):
+        find_kuratowski_subdivision(complete_graph(5))
+    assert find_kuratowski_subdivision(cycle_graph(5)) is None
+
+
+def test_certify_refuses_5x5_grid(tmp_path, capsys):
+    g = grid_graph(5, 5)
+    text = f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges)
+    path = tmp_path / "grid5x5.txt"
+    path.write_text(text)
+    assert main(["certify", str(path)]) == 1
+    assert "planar:" in capsys.readouterr().err

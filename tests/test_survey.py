@@ -167,3 +167,28 @@ def test_run_survey_writes_verifiable_certificates(tmp_path):
     assert len(files) == 1
     doc = json.loads(files[0].read_text())
     assert doc["verdict"] == {"cycle": True, "doubled": True, "not_in_image": True}
+
+
+def test_survey_one_reuses_scan_complex_for_certificate(monkeypatch):
+    import cshom.certificates
+    import cshom.survey
+
+    g = complete_graph(6)  # non-planar, scanned at k = 2 and k = 3
+    host_shape = scan_shapes(g.n)[0]
+    builds = []
+
+    def counting(original):
+        def build(graph, shape):
+            builds.append((graph, shape))
+            return original(graph, shape)
+
+        return build
+
+    for module in (cshom.survey, cshom.certificates):
+        monkeypatch.setattr(
+            module, "build_restricted_complex", counting(module.build_restricted_complex)
+        )
+    record, doc = survey_one(to_graph6(g))
+    assert record["planar"] is False and doc is not None
+    # the scan and the last lift stage; the certificate document reuses the scan's
+    assert builds.count((g, host_shape)) == 2
