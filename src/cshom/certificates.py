@@ -120,7 +120,8 @@ def _dense_certificate(
     for i, j, l, v in seed.g_terms:
         x[complex.column_of_pair_copy[(i, j, l)]] += v
     return TorsionCertificate(
-        graph=seed.graph, shape=seed.shape, h=h, witness_x=x, prime=2
+        graph=seed.graph, shape=seed.shape, h=h, witness_x=x, prime=2,
+        complex=complex,
     )
 
 
@@ -198,9 +199,7 @@ def _finish_lift(
     """Solve for the degree-2 witness and re-verify; LiftFailed otherwise."""
     if not any(h):
         raise LiftFailed(f"{stage}: lifted cycle vanished")
-    x = solve_integer(
-        [list(r) for r in complex.d2], [prime * v for v in h]
-    )
+    x = solve_integer(complex.d2, [prime * v for v in h])
     if x is None:
         raise LiftFailed(f"{stage}: {prime}h has no preimage under d2")
     cert = TorsionCertificate(
@@ -209,6 +208,7 @@ def _finish_lift(
         h=h,
         witness_x=x,
         prime=prime,
+        complex=complex,
     )
     verdict = check_certificate(cert, complex)
     if not verdict.valid:
@@ -409,20 +409,18 @@ def _step_to_dict(step: LiftStep) -> dict:
     return d
 
 
-def certificate_to_dict(
-    cert: TorsionCertificate, complex: Optional[RestrictedComplex] = None
-) -> dict:
-    """JSON-ready form of a certificate, verified against a fresh complex.
+def certificate_to_dict(cert: TorsionCertificate) -> dict:
+    """JSON-ready form of a certificate, verified against its complex.
 
-    Cycle entries are keyed "edge,copy" and witness entries "i,j,copy", all
-    1-based in the graph's lexicographic edge order.  The emitted verdict is
-    computed here, never copied from the input.
+    The complex is the one the certificate carries when its graph and shape
+    match, else a fresh build.  Cycle entries are keyed "edge,copy" and
+    witness entries "i,j,copy", all 1-based in the graph's lexicographic
+    edge order.  The emitted verdict is computed here, never copied from
+    the input.
     """
-    c = (
-        complex
-        if complex is not None
-        else build_restricted_complex(cert.graph, cert.shape)
-    )
+    c = cert.complex
+    if c is None or c.graph != cert.graph or c.shape != cert.shape:
+        c = build_restricted_complex(cert.graph, cert.shape)
     verdict = check_certificate(cert, c)
     h = {
         f"{i},{j}": cert.h[col]

@@ -6,13 +6,18 @@ Matrices cross the API as lists of rows of Python ints, so results are exact
 no matter the size.  Internally SNF elimination runs on numpy int64 for speed
 with a magnitude guard; when entries approach the guard the computation
 restarts on an object-dtype array (Python ints, still vectorized, still
-exact).  Homology first eliminates unit pivots on a sparse Python-int copy
-of d2, so the SNF sees only the residual.
+exact).  Homology and integer solves share one sparse elimination of unit
+pivots on a Python-int copy of the matrix, so the SNF sees only the
+residual: homology reads its invariants off the residual's SNF, and a solve
+carries the right-hand side through the same row operations, solves the
+residual system through its SNF transforms and back-substitutes the pivot
+rows.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Optional, Sequence
@@ -184,29 +189,6 @@ def determinant(m: Matrix) -> int:
     return sign * a[r - 1][r - 1]
 
 
-def solve_integer(m: Matrix, b: Sequence[int]) -> Optional[list[int]]:
-    """Integer solution of m x = b, or None iff b is outside the column span.
-
-    With U m V = S from the SNF, solves S y = U b entrywise and returns V y.
-    """
-    rows, cols = _dims(m)
-    if len(b) != rows:
-        raise ValueError(f"rhs length {len(b)} != {rows} rows")
-    S, U, V = smith_normal_form(m)
-    ub = mat_mul(U, [[v] for v in b])
-    y = [0] * cols
-    for i in range(rows):
-        d = S[i][i] if i < cols else 0
-        v = ub[i][0]
-        if d:
-            if v % d:
-                return None
-            y[i] = v // d
-        elif v:
-            return None
-    return [row[0] for row in mat_mul(V, [[v] for v in y])]
-
-
 def kernel_basis(m: Matrix) -> list[list[int]]:
     """Basis of the integer kernel lattice of m, as a list of columns.
 
@@ -301,16 +283,24 @@ def _cheapest_unit(
     return (len(row) - 1) * (best[1] - 1), best[0]
 
 
-def _unit_pivot_reduce(m: Matrix) -> tuple[int, Matrix]:
+def _eliminate(
+    m: Sequence[Sequence[int]], rhs: Optional[list[int]] = None
+) -> Optional[tuple[list[tuple[int, int, dict[int, int]]], dict[int, dict[int, int]]]]:
     """Eliminate +-1 pivots from a sparse copy of m.
 
-    Returns the number p of pivots and the residual: the nonzero rows and
-    columns left once no entry is +-1.  Each step is unimodular, so
-    SNF(m) = I_p (+) SNF(residual).  Pivots go by least Markowitz cost
-    (row nnz - 1)(column nnz - 1).  Rows wait in a heap keyed by the cost
-    of their cheapest unit entry; a key may be stale, so a popped row whose
-    cost has grown is pushed back at its current cost, and each row an
-    elimination changes is pushed anew.
+    Returns (pivots, rows).  pivots lists each pivot as (row index, column,
+    row entries) in elimination order; a pivot row leaves the elimination
+    when it is chosen, so its entries are frozen there.  rows maps each
+    residual row index to its nonzero entries, none of them +-1 once the
+    loop ends.  Each step is unimodular, so SNF(m) = I_p (+) SNF(residual).
+    Pivots go by least Markowitz cost (row nnz - 1)(column nnz - 1).  Rows
+    wait in a heap keyed by the cost of their cheapest unit entry; a key may
+    be stale, so a popped row whose cost has grown is pushed back at its
+    current cost, and each row an elimination changes is pushed anew.
+
+    When rhs is given, every row operation is applied to it in place, and
+    the result is None as soon as a row that is or has become zero has a
+    nonzero rhs entry: m x = rhs then has no solution.
     """
     width = len(m[0]) if m else 0
     rows: dict[int, dict[int, int]] = {}
@@ -321,8 +311,10 @@ def _unit_pivot_reduce(m: Matrix) -> tuple[int, Matrix]:
             rows[i] = {j: int(row[j]) for j in nz}
             for j in nz:
                 cols.setdefault(j, set()).add(i)
+        elif rhs is not None and rhs[i]:
+            return None
     heap = [(0, i) for i in rows]  # 0 bounds every cost; sorted, so a heap
-    pivots = 0
+    pivots: list[tuple[int, int, dict[int, int]]] = []
     while heap:
         cost, i = heapq.heappop(heap)
         row = rows.get(i)
@@ -334,13 +326,15 @@ def _unit_pivot_reduce(m: Matrix) -> tuple[int, Matrix]:
             continue
         j = unit[1]
         p = row[j]
-        pivots += 1
+        pivots.append((i, j, row))
         del rows[i]
         for jj in row:
             cols[jj].discard(i)
         for t in list(cols[j]):
             target = rows[t]
             f = target[j] * p
+            if rhs is not None:
+                rhs[t] -= f * rhs[i]
             for jj, v in row.items():
                 new = target.get(jj, 0) - f * v
                 if not new:
@@ -351,14 +345,71 @@ def _unit_pivot_reduce(m: Matrix) -> tuple[int, Matrix]:
                         cols[jj].add(t)
                     target[jj] = new
             if not target:
+                if rhs is not None and rhs[t]:
+                    return None
                 del rows[t]
                 continue
             unit = _cheapest_unit(target, cols)
             if unit is not None:
                 heapq.heappush(heap, (unit[0], t))
         del cols[j]
+    return pivots, rows
+
+
+def _residual(rows: dict[int, dict[int, int]]) -> tuple[list[int], list[int], Matrix]:
+    """Row indices, live columns and dense matrix of a residual."""
+    ids = sorted(rows)
     live = sorted({j for row in rows.values() for j in row})
-    return pivots, [[rows[i].get(j, 0) for j in live] for i in sorted(rows)]
+    return ids, live, [[rows[i].get(j, 0) for j in live] for i in ids]
+
+
+def _unit_pivot_reduce(m: Matrix) -> tuple[int, Matrix]:
+    """The number p of +-1 pivots eliminated from m, and the residual: the
+    nonzero rows and columns left once no entry is +-1.
+    SNF(m) = I_p (+) SNF(residual)."""
+    pivots, rows = _eliminate(m)
+    return len(pivots), _residual(rows)[2]
+
+
+def solve_integer(m: Matrix, b: Sequence[int]) -> Optional[list[int]]:
+    """Some integer solution of m x = b, or None iff b is outside the
+    column span.
+
+    Route: +-1 pivots are eliminated from a sparse copy of m, each row
+    operation applied to b as well; a row that is or becomes zero with a
+    nonzero right-hand side ends the solve with None.  The residual system
+    R y = b_R is solved through its SNF with transforms (U R V = S: S z =
+    U b_R entrywise, y = V z).  Columns that are neither pivot nor residual
+    columns are set to 0.  Last, the pivot rows are back-substituted in
+    reverse elimination order: a pivot row was frozen when it was chosen,
+    so besides its pivot it holds only later pivot columns, residual
+    columns and zeroed columns, all known by then.
+    """
+    rows, cols = _dims(m)
+    if len(b) != rows:
+        raise ValueError(f"rhs length {len(b)} != {rows} rows")
+    rhs = [int(v) for v in b]
+    reduced = _eliminate(m, rhs)
+    if reduced is None:
+        return None
+    pivots, left = reduced
+    x = [0] * cols
+    if left:
+        ids, live, residual = _residual(left)
+        S, U, V = smith_normal_form(residual)
+        z = [0] * len(live)
+        for i, urow in enumerate(U):
+            v = sum(u * rhs[t] for u, t in zip(urow, ids))
+            d = S[i][i] if i < len(live) else 0
+            if v % d if d else v:
+                return None
+            if d:
+                z[i] = v // d
+        for j, vrow in zip(live, V):
+            x[j] = sum(a * c for a, c in zip(vrow, z))
+    for i, j, row in reversed(pivots):
+        x[j] = row[j] * (rhs[i] - sum(v * x[jj] for jj, v in row.items() if jj != j))
+    return x
 
 
 def homology_group(d1: Matrix, d2: Matrix) -> HomologyResult:
@@ -394,17 +445,26 @@ def homology_group(d1: Matrix, d2: Matrix) -> HomologyResult:
     )
 
 
+def _is_prime(n: int) -> bool:
+    """Whether n is a prime below 2^31; trial division stays under 46341
+    steps."""
+    return 2 <= n < 1 << 31 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 @dataclass
 class TorsionCertificate:
     """Witness data for a p-torsion class in bidegree (1, 0).
 
     h is a cycle in C1 coordinates (ordered as the complex's basis1) that is
     not a boundary, while witness_x in C2 coordinates satisfies
-    d2 witness_x = p * h, so h has order exactly p in homology.
+    d2 witness_x = p * h.  The order of h then divides p and is not 1, so it
+    is exactly p because p must be prime (below 2^31).
 
     The optional fields carry provenance when the certificate was produced
     by lifting: the construction trace, the subgraph witness it grew from,
-    and the internal-to-input vertex relabeling.
+    and the internal-to-input vertex relabeling.  complex is the complex the
+    certificate was built and verified on, kept so that serializing it
+    needs no second build; it takes no part in comparison or repr.
     """
 
     graph: object
@@ -415,12 +475,13 @@ class TorsionCertificate:
     trace: object = None
     witness: object = None
     vertex_map: dict = field(default=None, repr=False)
+    complex: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.h = tuple(int(x) for x in self.h)
         self.witness_x = tuple(int(x) for x in self.witness_x)
-        if self.prime < 2:
-            raise ValueError("prime must be at least 2")
+        if not _is_prime(self.prime):
+            raise ValueError(f"prime must be a prime below 2^31, got {self.prime}")
 
 
 @dataclass(frozen=True)

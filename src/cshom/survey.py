@@ -80,18 +80,15 @@ def survey_one(graph6: str) -> tuple[dict, Optional[dict]]:
     error: Optional[str] = None
     cert_doc: Optional[dict] = None
     try:
-        host = None  # the scan's complex at the certificate shape (2, 2, 1^(n-4))
         for shape in shapes:
             c = build_restricted_complex(g, shape)
-            if shape.two_column_rows() == 2:
-                host = c
             hg = homology_group([list(r) for r in c.d1], [list(r) for r in c.d2])
             if hg.has_z2:
                 has_z2 = True
         try:
             cert = certify_nonplanar(g)
             planar = False
-            cert_doc = certificate_to_dict(cert, host)
+            cert_doc = certificate_to_dict(cert)
         except PlanarInput:
             planar = True
     except (CshomError, ValueError) as exc:
@@ -129,7 +126,7 @@ def _cache_dir(override: Optional[str]) -> Path:
     return Path.home() / ".cache" / "cshom"
 
 
-_CACHE_VERSION = "cshom-survey/1"
+_CACHE_VERSION = "cshom-survey/2"
 
 
 def _cache_path(base: Path, graph6: str) -> Path:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -23,7 +24,8 @@ from cshom.graphs import (
     petersen_graph,
     subdivide,
 )
-from cshom.intlinalg import check_certificate, homology_group
+from cshom.intlinalg import TorsionCertificate, check_certificate, homology_group, mat_vec
+from cshom.tableaux import Partition
 
 
 def _homology_factors(cert):
@@ -158,9 +160,13 @@ def test_certify_builds_each_stage_once(g, monkeypatch):
 
     monkeypatch.setattr(cshom.certificates, "build_restricted_complex", counting)
     cert = certify_nonplanar(g)
+    doc = certificate_to_dict(cert)
+    assert doc["verdict"] == {"cycle": True, "doubled": True, "not_in_image": True}
     s = sum(1 for step in cert.trace.steps if step.op == "subdivide")
-    # one seed complex, one per subdivision, the segment and the host
+    # one seed complex, one per subdivision, the segment and the host; the
+    # document reuses the host complex the last lift stage verified on
     assert len(builds) <= s + 3
+    assert builds.count(g) == 1
 
 
 def test_certificate_dict_round_trip():
@@ -212,3 +218,50 @@ def test_tampered_certificate_fails_verification():
     c = build_restricted_complex(tampered.graph, tampered.shape)
     verdict = check_certificate(tampered, c)
     assert not verdict.valid
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(5), complete_bipartite((1, 2, 3), (4, 5, 6)), petersen_graph()],
+    ids=["k5", "k33", "petersen"],
+)
+def test_boundary_is_caught_as_in_image(g):
+    # h = d2 y is a boundary: it is a cycle and 2h = d2 (2y), so only the
+    # not-in-image check can reject the certificate
+    c = build_restricted_complex(g, Partition.two_column(g.n, 2))
+    rng = random.Random(f"boundary:{g.edges}")
+    y = [rng.choice((0, 0, 0, 1, -1, 2)) for _ in c.basis2]
+    h = mat_vec(c.d2, y)
+    assert any(h)
+    cert = TorsionCertificate(
+        graph=g, shape=c.shape, h=h, witness_x=[2 * v for v in y], prime=2
+    )
+    verdict = check_certificate(cert, c)
+    assert verdict.cycle and verdict.doubled
+    assert not verdict.not_in_image
+    assert not verdict.valid
+
+
+@pytest.mark.parametrize("prime", [-3, 0, 1, 4, 6, 9, 561, 46337**2, (1 << 31) + 11])
+def test_certificate_prime_must_be_prime(prime):
+    # 561 is a Carmichael number, 46337 the largest prime below the square
+    # root of 2^31, and 2^31 + 11 a prime past the bound
+    with pytest.raises(ValueError):
+        TorsionCertificate(graph=None, shape=None, h=(), witness_x=(), prime=prime)
+
+
+def test_certificate_prime_accepts_primes():
+    sieve = [True] * 3000
+    for p in range(2, 3000):
+        for q in range(2 * p, 3000, p):
+            sieve[q] = False
+    accepted = []
+    for p in range(3000):
+        try:
+            TorsionCertificate(graph=None, shape=None, h=(), witness_x=(), prime=p)
+        except ValueError:
+            continue
+        accepted.append(p)
+    assert accepted == [p for p in range(2, 3000) if sieve[p]]
+    for p in (46337, (1 << 31) - 1):
+        TorsionCertificate(graph=None, shape=None, h=(), witness_x=(), prime=p)

@@ -147,6 +147,25 @@ def test_check_non_object_fields(tmp_path, capsys, field, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("prime", [4, 6])
+def test_check_rejects_composite_prime(tmp_path, capsys, prime):
+    # d2 x = prime h with h outside the image only bounds the order of h by
+    # prime; h has order 2, so "order-4 class confirmed" would be false
+    g = _write_graph(tmp_path, "k5.txt", K5_EDGE_LIST)
+    cert = str(tmp_path / "k5.cert.json")
+    assert main(["certify", g, "--out", cert]) == 0
+    doc = json.loads(open(cert).read())
+    doc["prime"] = prime
+    doc["witness_x"] = {k: v * prime // 2 for k, v in doc["witness_x"].items()}
+    bad = str(tmp_path / "composite.cert.json")
+    open(bad, "w").write(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", bad]) == 2
+    captured = capsys.readouterr()
+    assert "does not bind" in captured.err and "prime" in captured.err
+    assert "confirmed" not in captured.out
+
+
 def test_check_garbage_file(tmp_path, capsys):
     p = tmp_path / "junk.json"
     p.write_text("{")

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from cshom.certificates import certify_nonplanar
 from cshom.complexes import build_restricted_complex
 from cshom.errors import ComplexNotExact
-from cshom.graphs import complete_bipartite, complete_graph, petersen_graph
+from cshom.graphs import Graph, complete_bipartite, complete_graph, petersen_graph, subdivide
 from cshom.intlinalg import (
     HomologyResult,
     _unit_pivot_reduce,
@@ -198,6 +199,133 @@ def test_mat_mul_basic_and_empty():
     assert mat_mul([[1, 2], [3, 4]], [[0, 1], [1, 0]]) == [[2, 1], [4, 3]]
 
 
+def reference_solve(m, b):
+    """The dense route that solve_integer replaced, kept as its oracle: with
+    U m V = S from one SNF with both transforms, solve S y = U b entrywise
+    and return V y, or None when some entry does not divide."""
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    s, u, v = smith_normal_form(m)
+    ub = mat_mul(u, [[x] for x in b])
+    y = [0] * cols
+    for i in range(rows):
+        d = s[i][i] if i < cols else 0
+        x = ub[i][0]
+        if d:
+            if x % d:
+                return None
+            y[i] = x // d
+        elif x:
+            return None
+    return [row[0] for row in mat_mul(v, [[x] for x in y])] if cols else []
+
+
+def _solve_agrees(m, b):
+    """solve_integer and the dense oracle agree on solvability, and every
+    returned x solves m x = b; returns whether b is in the image."""
+    got = solve_integer(m, b)
+    want = reference_solve(m, b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert len(got) == (len(m[0]) if m else 0)
+        assert mat_vec(m, got) == list(b)
+    return got is not None
+
+
+def test_solve_integer_matches_reference_on_suite():
+    rng = random.Random(29)
+    outcomes = []
+    for m in SUITE:
+        rows, cols = len(m), len(m[0])
+        b_in = mat_vec(m, [rng.randint(-4, 4) for _ in range(cols)])
+        b_off = list(b_in)
+        b_off[rng.randrange(rows)] += rng.choice((1, -1, 3))
+        for b in (b_in, b_off, [0] * rows):
+            outcomes.append(_solve_agrees(m, b))
+    # every in-image and zero rhs solves; a perturbed one mostly does not
+    assert outcomes.count(False) >= 100
+
+
+_BIG = (1 << 28) + 3  # past the int64 elimination guard
+
+_SOLVE_POOLS = {
+    "units": (1, -1),
+    "twos": (1, -1, 2, -2),
+    "big": (1, -1, 2, _BIG, -_BIG - 1, 2 * _BIG),
+}
+
+
+@pytest.mark.parametrize("pool", sorted(_SOLVE_POOLS))
+def test_solve_integer_matches_reference_on_sparse_matrices(pool):
+    rng = random.Random(f"solve:{pool}")
+    outcomes = []
+    for _ in range(120):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.choice((0.15, 0.3, 0.6))
+        m = [
+            [rng.choice(_SOLVE_POOLS[pool]) if rng.random() < density else 0
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        b_in = mat_vec(m, [rng.randint(-3, 3) for _ in range(cols)])
+        b_off = list(b_in)
+        b_off[rng.randrange(rows)] += rng.choice((1, -1))
+        for b in (b_in, b_off, [rng.randint(-4, 4) for _ in range(rows)]):
+            outcomes.append(_solve_agrees(m, b))
+    assert outcomes.count(True) >= 120 and outcomes.count(False) >= 60
+
+
+def test_solve_integer_zero_rows_and_no_columns():
+    # a row that is zero from the start decides solvability by its rhs alone
+    assert solve_integer([[0, 0], [1, 1]], [1, 2]) is None
+    assert solve_integer([[0, 0], [1, 1]], [0, 2]) in ([2, 0], [0, 2])
+    assert solve_integer([[1, 2], [0, 0], [2, 4]], [1, 0, 2]) is not None
+    assert solve_integer([[1, 2], [0, 0], [2, 4]], [1, 5, 2]) is None
+    # a row that only becomes zero under elimination
+    assert solve_integer([[1, 1], [2, 2]], [1, 3]) is None
+    assert solve_integer([[1, 1], [2, 2], [0, 3]], [1, 2, 3]) == [0, 1]
+    # a matrix without columns solves exactly the zero rhs, by the empty x
+    for rows in (1, 3):
+        m = [[] for _ in range(rows)]
+        assert solve_integer(m, [0] * rows) == reference_solve(m, [0] * rows) == []
+        b = [0] * (rows - 1) + [2]
+        assert solve_integer(m, b) is None and reference_solve(m, b) is None
+    assert solve_integer([], []) == []
+    with pytest.raises(ValueError):
+        solve_integer([[1, 0]], [1, 2])
+
+
+def _heawood():
+    edges = [(i + 1, (i + 1) % 14 + 1) for i in range(14)]
+    edges += [(i + 1, (i + 5) % 14 + 1) for i in range(0, 14, 2)]
+    return Graph.from_edges(14, edges)
+
+
+def _k5_six_subdivided():
+    g = complete_graph(5)
+    for e in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 4)):
+        g = subdivide(g, e)
+    return g
+
+
+_CERTIFIED = {
+    "petersen": petersen_graph,
+    "K5,5": lambda: complete_bipartite(range(1, 6), range(6, 11)),
+    "heawood": _heawood,
+    "K5-sub6": _k5_six_subdivided,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CERTIFIED))
+def test_solve_integer_matches_reference_on_certified_complexes(name):
+    # on the complex a certificate was verified on: 2h is in the image of
+    # d2 and h is not, by either route
+    cert = certify_nonplanar(_CERTIFIED[name]())
+    d2 = cert.complex.d2
+    assert _solve_agrees(d2, [2 * v for v in cert.h])
+    assert not _solve_agrees(d2, list(cert.h))
+
+
 def reference_homology(d1, d2):
     """The three-SNF route that homology_group replaced, kept as its oracle:
     the kernel lattice of d1, the coordinates of every d2 column in that
@@ -231,8 +359,6 @@ def reference_homology(d1, d2):
         invariant_factors=tuple(d for d in diag if d > 1),
     )
 
-
-_BIG = (1 << 28) + 3
 
 # entry pools for random d2: generic, no +-1 entry (the residual is all of
 # d2), all zero, and units mixed with entries past the int64 guard

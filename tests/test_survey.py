@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -190,5 +191,24 @@ def test_survey_one_reuses_scan_complex_for_certificate(monkeypatch):
         )
     record, doc = survey_one(to_graph6(g))
     assert record["planar"] is False and doc is not None
-    # the scan and the last lift stage; the certificate document reuses the scan's
+    # the scan and the last lift stage; the certificate document reuses the
+    # complex the last lift stage verified on
     assert builds.count((g, host_shape)) == 2
+
+
+def test_run_survey_recomputes_entries_of_an_older_cache_version(tmp_path):
+    # a row cached under cshom-survey/1 holds a witness from the dense-SNF
+    # solve; it must be recomputed, never served
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    g6 = to_graph6(complete_graph(5))
+    stale = hashlib.sha256(f"cshom-survey/1|{g6}".encode()).hexdigest()[:24]
+    bogus = {"id": g6, "n": 5, "m": 10, "planar": True, "shapes": [],
+             "has_z2": False, "certificate": None, "runtime_s": 0.0, "error": None}
+    (cache / f"{stale}.json").write_text(
+        json.dumps({"record": bogus, "certificate_doc": None}) + "\n"
+    )
+    [record] = run_survey([g6], cache_dir=str(cache))
+    assert record != bogus
+    assert record["planar"] is False and record["has_z2"] is True
+    assert len(list(cache.glob("*.json"))) == 2
