@@ -4,9 +4,9 @@ Two seed certificates (one per Kuratowski kind) are pinned as explicit
 generator combinations and re-verified on every build.  A certificate for
 an arbitrary non-planar graph is produced by locating a Kuratowski
 subdivision, replaying its subdivisions on the seed while lifting the
-certificate edge by edge, embedding the result as an initial vertex
-segment, and finally transporting everything to the input labeling.  A
-lift reads the source's degree-1 basis and builds only the target complex.
+certificate edge by edge, and embedding the result into the input graph in
+one relabeling stage.  A lift reads the source's degree-1 basis and builds
+only the target complex.
 Every stage re-solves for the degree-2 witness and re-verifies all three
 certificate checks, so any defect in the rewriting surfaces as LiftFailed
 rather than as a wrong certificate.
@@ -262,10 +262,10 @@ def lift_subgraph(
     """Transport a certificate along a subgraph embedding into a host graph.
 
     embedding maps certificate-graph vertices to host vertices (identity
-    when omitted) and must carry edges to edges.  Internally the host is
-    relabeled so the embedded image is the initial vertex segment; there the
-    old fillings extend by singleton boxes, and the final relabeling back to
-    host labels re-straightens every term inside its edge block.
+    when omitted) and must carry edges to edges.  Each cycle term gains
+    singleton boxes n+1.. for the spare host vertices, taken in increasing
+    order, is relabeled into the host and straightened on the host complex.
+    The identity embedding returns the certificate after re-checking it.
     """
     g = cert.graph
     if embedding is None:
@@ -281,63 +281,39 @@ def lift_subgraph(
         if not host.has_edge(a, b):
             raise NotASubgraph(f"edge {(u, v)!r} maps to non-edge {(a, b)!r}")
 
-    identity = host == g and all(emb[v] == v for v in range(1, g.n + 1))
-    if identity:
-        verdict = recheck_certificate(cert)
+    if host == g and all(emb[v] == v for v in range(1, g.n + 1)):
+        verdict = check_certificate(cert, _complex_of(cert))
         if not verdict.valid:
             raise LiftFailed(f"identity embedding: stored certificate fails {verdict}")
         return cert
 
-    spare = [w for w in range(1, host.n + 1) if w not in set(image)]
-    tau = dict(emb)
-    for idx, w in enumerate(spare):
-        tau[g.n + 1 + idx] = w
-    tau_inv = {w: t for t, w in tau.items()}
-    g_mid = host.relabel(tau_inv)
+    spare = sorted(set(range(1, host.n + 1)) - set(image))
+    tau = {**emb, **dict(zip(range(g.n + 1, host.n + 1), spare))}
 
     old_basis1 = degree1_basis(g, cert.shape)
     shape_big = Partition.two_column(host.n, cert.shape.two_column_rows())
-    mid = build_restricted_complex(g_mid, shape_big)
+    target = build_restricted_complex(host, shape_big)
     boxes = tuple((t,) for t in range(g.n + 1, host.n + 1))
-    pairs = [
-        (Numbering(old_basis1[col][2].rows + boxes), coeff)
-        for col, coeff in enumerate(cert.h)
-        if coeff
-    ]
+    pairs: list[tuple[Numbering, int]] = []
+    for col, coeff in enumerate(cert.h):
+        if coeff:
+            rows = old_basis1[col][2].rows + boxes
+            relabeled = tuple(tuple(tau[x] for x in r) for r in rows)
+            pairs.append((Numbering(relabeled), coeff))
     try:
-        h_mid = straighten(pairs, [f for _, _, f in mid.basis1], frozen_rows=1)
+        h_host = straighten(pairs, [f for _, _, f in target.basis1], frozen_rows=1)
     except StraighteningStalled as exc:
-        raise LiftFailed(f"segment embedding: {exc}") from exc
-    cert_mid = _finish_lift(mid, h_mid, cert.prime, "segment embedding")
-
-    if all(tau[t] == t for t in tau):
-        return cert_mid
-
-    final = build_restricted_complex(host, shape_big)
-    relabeled = []
-    for col, coeff in enumerate(cert_mid.h):
-        if not coeff:
-            continue
-        rows = mid.basis1[col][2].rows
-        relabeled.append(
-            (Numbering(tuple(tuple(tau[x] for x in row) for row in rows)), coeff)
-        )
-    try:
-        h_host = straighten(
-            relabeled, [f for _, _, f in final.basis1], frozen_rows=1
-        )
-    except StraighteningStalled as exc:
-        raise LiftFailed(f"relabeling transport: {exc}") from exc
-    return _finish_lift(final, h_host, cert.prime, "relabeling transport")
+        raise LiftFailed(f"subgraph embedding: {exc}") from exc
+    return _finish_lift(target, h_host, cert.prime, "subgraph embedding")
 
 
 def certify_nonplanar(g: Graph) -> TorsionCertificate:
     """Build a verified order-2 torsion certificate for a non-planar graph.
 
     Pipeline: Kuratowski witness, seed certificate, one subdivision lift per
-    path interior vertex, segment embedding into the input graph, final
-    verification there.  The returned certificate carries the witness, the
-    step trace, and the internal-to-input vertex map.
+    path interior vertex, then the embedding into the input graph.  The
+    returned certificate carries the witness, the step trace, and the
+    internal-to-input vertex map.
 
     Raises PlanarInput when no witness exists.
     """
@@ -396,6 +372,15 @@ def recheck_certificate(cert: TorsionCertificate) -> CertificateVerdict:
     return check_certificate(cert, build_restricted_complex(cert.graph, cert.shape))
 
 
+def _complex_of(cert: TorsionCertificate) -> RestrictedComplex:
+    """The complex the certificate carries when its graph and shape match,
+    else a fresh build."""
+    c = cert.complex
+    if c is None or c.graph != cert.graph or c.shape != cert.shape:
+        c = build_restricted_complex(cert.graph, cert.shape)
+    return c
+
+
 def _step_to_dict(step: LiftStep) -> dict:
     d: dict = {"op": step.op}
     if step.edge is not None:
@@ -418,9 +403,7 @@ def certificate_to_dict(cert: TorsionCertificate) -> dict:
     edge order.  The emitted verdict is computed here, never copied from
     the input.
     """
-    c = cert.complex
-    if c is None or c.graph != cert.graph or c.shape != cert.shape:
-        c = build_restricted_complex(cert.graph, cert.shape)
+    c = _complex_of(cert)
     verdict = check_certificate(cert, c)
     h = {
         f"{i},{j}": cert.h[col]
@@ -461,24 +444,50 @@ def certificate_to_dict(cert: TorsionCertificate) -> dict:
     return doc
 
 
+def _json_int(value: object, what: str) -> int:
+    """value when it is a JSON integer; a float or bool is refused, not cut."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _bind(entries: Mapping, column_of: Mapping, size: int, what: str) -> list[int]:
+    """Dense vector from sparse entries keyed "i,j[,l]" as column_of's keys."""
+    columns = {",".join(map(str, key)): col for key, col in column_of.items()}
+    vec = [0] * size
+    for key, val in entries.items():
+        if key not in columns:
+            raise ValueError(f"{what} entry {key!r} does not bind")
+        vec[columns[key]] = _json_int(val, f"{what} entry {key!r}")
+    return vec
+
+
 def certificate_from_dict(
     doc: Mapping, complex: Optional[RestrictedComplex] = None
 ) -> TorsionCertificate:
-    """Rebuild a dense certificate from its JSON form.
+    """Rebuild a dense certificate from its JSON form, the one parser of
+    certificate documents.
 
-    Raises ValueError when the document does not bind to the declared
-    graph and shape (unknown format, bad keys, out-of-range positions).
-    Provenance blocks (lift, kuratowski, vertex_map) are not reconstructed.
+    Every number must be a JSON integer, every edge a pair, and every key
+    as certificate_to_dict writes it.  The returned certificate carries the
+    supplied complex, which must match the document, or else a fresh build.
+    Raises ValueError when the document does not bind.  Provenance blocks
+    (lift, kuratowski, vertex_map) are not reconstructed.
     """
+    if not isinstance(doc, Mapping):
+        raise ValueError("certificate document must be a JSON object")
     if doc.get("format") != CERTIFICATE_FORMAT:
         raise ValueError(f"unsupported certificate format {doc.get('format')!r}")
     try:
         gd = doc["graph"]
-        graph = Graph.from_edges(
-            int(gd["n"]), [tuple(map(int, e)) for e in gd["edges"]]
-        )
-        shape = Partition(tuple(int(p) for p in doc["shape"]))
-        prime = int(doc["prime"])
+        edges = []
+        for e in gd["edges"]:
+            if not isinstance(e, (list, tuple)) or len(e) != 2:
+                raise ValueError(f"edge {e!r} is not a pair of vertices")
+            edges.append(tuple(_json_int(v, "edge endpoint") for v in e))
+        graph = Graph.from_edges(_json_int(gd["n"], "graph n"), edges)
+        shape = Partition(tuple(_json_int(p, "shape part") for p in doc["shape"]))
+        prime = _json_int(doc["prime"], "prime")
         h_doc, x_doc = doc["h"], doc["witness_x"]
         if not isinstance(h_doc, Mapping) or not isinstance(x_doc, Mapping):
             raise TypeError("h and witness_x must be JSON objects")
@@ -487,18 +496,8 @@ def certificate_from_dict(
     c = complex if complex is not None else build_restricted_complex(graph, shape)
     if c.graph != graph or c.shape != shape:
         raise ValueError("supplied complex does not match the document")
-    h = [0] * len(c.basis1)
-    for key, val in h_doc.items():
-        try:
-            i, j = (int(t) for t in key.split(","))
-            h[c.column_of_edge_copy[(i, j)]] += int(val)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"cycle entry {key!r} does not bind") from exc
-    x = [0] * len(c.basis2)
-    for key, val in x_doc.items():
-        try:
-            i, j, l = (int(t) for t in key.split(","))
-            x[c.column_of_pair_copy[(i, j, l)]] += int(val)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"witness entry {key!r} does not bind") from exc
-    return TorsionCertificate(graph=graph, shape=shape, h=h, witness_x=x, prime=prime)
+    h = _bind(h_doc, c.column_of_edge_copy, len(c.basis1), "cycle")
+    x = _bind(x_doc, c.column_of_pair_copy, len(c.basis2), "witness")
+    return TorsionCertificate(
+        graph=graph, shape=shape, h=h, witness_x=x, prime=prime, complex=c
+    )

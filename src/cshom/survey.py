@@ -82,7 +82,7 @@ def survey_one(graph6: str) -> tuple[dict, Optional[dict]]:
     try:
         for shape in shapes:
             c = build_restricted_complex(g, shape)
-            hg = homology_group([list(r) for r in c.d1], [list(r) for r in c.d2])
+            hg = homology_group(c.d1, c.d2)
             if hg.has_z2:
                 has_z2 = True
         try:

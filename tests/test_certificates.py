@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 import cshom.certificates
 from cshom.certificates import (
+    _finish_lift,
     canonical_certificates,
     certificate_from_dict,
     certificate_to_dict,
@@ -14,18 +16,20 @@ from cshom.certificates import (
     recheck_certificate,
     seed_certificate,
 )
-from cshom.complexes import build_restricted_complex
+from cshom.complexes import build_restricted_complex, degree1_basis
 from cshom.errors import NotASubgraph, PlanarInput
 from cshom.graphs import (
     Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    is_planar,
     petersen_graph,
     subdivide,
 )
 from cshom.intlinalg import TorsionCertificate, check_certificate, homology_group, mat_vec
-from cshom.tableaux import Partition
+from cshom.survey import generate_connected_graphs
+from cshom.tableaux import Numbering, Partition, straighten
 
 
 def _homology_factors(cert):
@@ -98,6 +102,100 @@ def test_lift_subgraph_shifted_embedding():
     assert recheck_certificate(cert).valid
 
 
+def reference_lift_subgraph(cert, host, embedding=None):
+    """Two-stage subgraph lift: embed as the initial vertex segment of the
+    host relabeled by tau^-1, verify there, then relabel by tau and
+    straighten again on the host itself."""
+    g = cert.graph
+    emb = dict(embedding or {v: v for v in range(1, g.n + 1)})
+    if host == g and all(emb[v] == v for v in range(1, g.n + 1)):
+        assert recheck_certificate(cert).valid
+        return cert
+    image = set(emb.values())
+    spare = [w for w in range(1, host.n + 1) if w not in image]
+    tau = dict(emb)
+    for idx, w in enumerate(spare):
+        tau[g.n + 1 + idx] = w
+    tau_inv = {w: t for t, w in tau.items()}
+    g_mid = host.relabel(tau_inv)
+
+    old_basis1 = degree1_basis(g, cert.shape)
+    shape_big = Partition.two_column(host.n, cert.shape.two_column_rows())
+    mid = build_restricted_complex(g_mid, shape_big)
+    boxes = tuple((t,) for t in range(g.n + 1, host.n + 1))
+    pairs = [
+        (Numbering(old_basis1[col][2].rows + boxes), coeff)
+        for col, coeff in enumerate(cert.h)
+        if coeff
+    ]
+    h_mid = straighten(pairs, [f for _, _, f in mid.basis1], frozen_rows=1)
+    cert_mid = _finish_lift(mid, h_mid, cert.prime, "segment embedding")
+    if all(tau[t] == t for t in tau):
+        return cert_mid
+
+    final = build_restricted_complex(host, shape_big)
+    relabeled = []
+    for col, coeff in enumerate(cert_mid.h):
+        if coeff:
+            rows = mid.basis1[col][2].rows
+            relabeled.append(
+                (Numbering(tuple(tuple(tau[x] for x in row) for row in rows)), coeff)
+            )
+    h_host = straighten(relabeled, [f for _, _, f in final.basis1], frozen_rows=1)
+    return _finish_lift(final, h_host, cert.prime, "relabeling transport")
+
+
+def _scrambled_k5_into_k7():
+    rng = random.Random("k5-into-k7")
+    image = rng.sample(range(1, 8), 5)
+    return dict(zip(range(1, 6), image))
+
+
+@pytest.mark.parametrize(
+    "host, embedding",
+    [
+        (complete_graph(6), None),
+        (complete_graph(6), {1: 2, 2: 3, 3: 4, 4: 5, 5: 6}),
+        (complete_graph(7), _scrambled_k5_into_k7()),
+    ],
+    ids=["k6-initial-segment", "k6-shifted", "k7-scrambled"],
+)
+def test_lift_subgraph_matches_two_stage_reference(host, embedding):
+    seed5, _ = canonical_certificates()
+    cert = seed_certificate(seed5)
+    got = lift_subgraph(cert, host, embedding)
+    want = reference_lift_subgraph(cert, host, embedding)
+    assert got.graph == want.graph == host
+    assert got.h == want.h
+    assert got.witness_x == want.witness_x
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        petersen_graph(),
+        complete_bipartite((1, 2, 3, 4, 5), (6, 7, 8, 9, 10)),
+        Graph.from_edges(7, complete_bipartite((1, 2, 3), (4, 5, 6)).edges + ((6, 7),)),
+    ],
+    ids=["petersen", "k55", "k33-pendant"],
+)
+def test_certify_embed_stage_matches_two_stage_reference(g, monkeypatch):
+    calls = []
+    original = cshom.certificates.lift_subgraph
+
+    def recording(cert, host, embedding=None):
+        lifted = original(cert, host, embedding)
+        calls.append((cert, host, embedding, lifted))
+        return lifted
+
+    monkeypatch.setattr(cshom.certificates, "lift_subgraph", recording)
+    certify_nonplanar(g)
+    [(cert, host, embedding, lifted)] = calls
+    want = reference_lift_subgraph(cert, host, embedding)
+    assert lifted.h == want.h
+    assert lifted.witness_x == want.witness_x
+
+
 def test_lift_subgraph_rejects_non_embedding():
     seed5, _ = canonical_certificates()
     cert = seed_certificate(seed5)
@@ -146,11 +244,35 @@ def test_certify_nonplanar_end_to_end(g):
     [
         subdivide(subdivide(subdivide(complete_graph(5), (1, 2)), (3, 4)), (1, 6)),
         petersen_graph(),
+        complete_graph(5),
+        complete_graph(6),
     ],
-    ids=["k5-subdivided-thrice", "petersen"],
+    ids=["k5-subdivided-thrice", "petersen", "k5", "k6"],
 )
 def test_certify_builds_each_stage_once(g, monkeypatch):
     canonical_certificates()
+    builds = []
+    original = cshom.certificates.build_restricted_complex
+
+    def counting(graph, shape):
+        builds.append((graph, shape))
+        return original(graph, shape)
+
+    monkeypatch.setattr(cshom.certificates, "build_restricted_complex", counting)
+    cert = certify_nonplanar(g)
+    doc = certificate_to_dict(cert)
+    assert doc["verdict"] == {"cycle": True, "doubled": True, "not_in_image": True}
+    s = sum(1 for step in cert.trace.steps if step.op == "subdivide")
+    # one seed complex, one per subdivision and the host; the identity
+    # embedding and the document reuse the complex the last stage verified on
+    assert len(builds) <= s + 2
+    assert len(set(builds)) == len(builds)
+    assert (g, cert.shape) in builds
+
+
+def test_lift_subgraph_builds_only_the_host(monkeypatch):
+    seed5, _ = canonical_certificates()
+    cert = seed_certificate(seed5)
     builds = []
     original = cshom.certificates.build_restricted_complex
 
@@ -159,14 +281,22 @@ def test_certify_builds_each_stage_once(g, monkeypatch):
         return original(graph, shape)
 
     monkeypatch.setattr(cshom.certificates, "build_restricted_complex", counting)
-    cert = certify_nonplanar(g)
-    doc = certificate_to_dict(cert)
-    assert doc["verdict"] == {"cycle": True, "doubled": True, "not_in_image": True}
-    s = sum(1 for step in cert.trace.steps if step.op == "subdivide")
-    # one seed complex, one per subdivision, the segment and the host; the
-    # document reuses the host complex the last lift stage verified on
-    assert len(builds) <= s + 3
-    assert builds.count(g) == 1
+    lift_subgraph(cert, complete_graph(7), _scrambled_k5_into_k7())
+    assert builds == [complete_graph(7)]
+
+
+def test_certificate_documents_are_pinned():
+    # one line per document of every non-planar connected graph on at most
+    # six vertices, then Petersen and K5,5; a change to any emitted
+    # certificate must re-pin this digest deliberately
+    graphs = [g for g in generate_connected_graphs(6) if not is_planar(g)]
+    assert len(graphs) == 14
+    graphs += [petersen_graph(), complete_bipartite((1, 2, 3, 4, 5), (6, 7, 8, 9, 10))]
+    text = "".join(
+        json.dumps(certificate_to_dict(certify_nonplanar(g)), sort_keys=True) + "\n"
+        for g in graphs
+    )
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "67b8567a85f56112"
 
 
 def test_certificate_dict_round_trip():
@@ -207,6 +337,35 @@ def test_certificate_from_dict_rejects_bad_documents():
     del bad["h"]
     with pytest.raises(ValueError):
         certificate_from_dict(bad)
+    with pytest.raises(ValueError):
+        certificate_from_dict([doc])
+    # numbers must be JSON integers, since int() would truncate a float or
+    # read a boolean as 0 or 1 and so check another certificate than the
+    # document's; edges must be pairs and keys in their written form
+    h_key, x_key = next(iter(doc["h"])), next(iter(doc["witness_x"]))
+    for path, value in (
+        (("prime",), 2.9),
+        (("prime",), 2.0),
+        (("h", h_key), doc["h"][h_key] + 0.7),
+        (("h", h_key), True),
+        (("witness_x", x_key), doc["witness_x"][x_key] + 0.5),
+        (("graph", "n"), 5.0),
+        (("shape",), [2.0, 2, 1]),
+        (("graph", "edges", 0), [1.9, 2]),
+        (("graph", "edges", 0), [1, "2"]),
+        (("graph", "edges", 0), [1, 2, 3]),
+        (("graph", "edges", 0), [1]),
+        (("h", " 1,1"), 1),
+        (("h", "01,1"), 1),
+        (("h", "1, 1"), 1),
+    ):
+        bad = json.loads(json.dumps(doc))
+        target = bad
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        with pytest.raises(ValueError):
+            certificate_from_dict(bad)
 
 
 def test_tampered_certificate_fails_verification():

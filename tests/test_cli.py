@@ -147,6 +147,41 @@ def test_check_non_object_fields(tmp_path, capsys, field, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("prime",), 2.9),
+        (("h", 0), 0.7),
+        (("graph", "edges", 0), [1.9, 2]),
+        (("graph", "edges", 0), [1, 2, 3]),
+        (("graph", "edges", 0), [1]),
+    ],
+    ids=["float-prime", "float-h", "float-edge", "long-edge", "short-edge"],
+)
+def test_check_rejects_non_integers_and_malformed_edges(tmp_path, capsys, path, value):
+    g = _write_graph(tmp_path, "k5.txt", K5_EDGE_LIST)
+    cert = str(tmp_path / "k5.cert.json")
+    assert main(["certify", g, "--out", cert]) == 0
+    doc = json.loads(open(cert).read())
+    if path == ("h", 0):
+        # added to an existing entry, so that truncation would restore it
+        key = next(iter(doc["h"]))
+        doc["h"][key] += value
+    else:
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+    bad = str(tmp_path / "bad.cert.json")
+    open(bad, "w").write(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", bad]) == 2
+    captured = capsys.readouterr()
+    assert "does not bind" in captured.err
+    assert "Traceback" not in captured.err
+    assert "confirmed" not in captured.out
+
+
 @pytest.mark.parametrize("prime", [4, 6])
 def test_check_rejects_composite_prime(tmp_path, capsys, prime):
     # d2 x = prime h with h outside the image only bounds the order of h by
