@@ -1,24 +1,26 @@
 """Torsion certificates for non-planar graphs.
 
 Two seed certificates (one per Kuratowski kind) are pinned as explicit
-generator combinations and re-verified on every build.  A certificate for
-an arbitrary non-planar graph is produced by locating a Kuratowski
+generator combinations, built and verified once per process.  A certificate
+for an arbitrary non-planar graph is produced by locating a Kuratowski
 subdivision, replaying its subdivisions on the seed while lifting the
 certificate edge by edge, and embedding the result into the input graph in
-one relabeling stage.  A lift reads the source's degree-1 basis and builds
-only the target complex.
+one relabeling stage.  A lift reads the source fillings from the complex
+the certificate carries and builds only the target complex.
 Every stage re-solves for the degree-2 witness and re-verifies all three
 certificate checks, so any defect in the rewriting surfaces as LiftFailed
-rather than as a wrong certificate.
+rather than as a wrong certificate.  Certificates are immutable, so the
+cached seeds are shared as they are; provenance goes onto a copy.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .complexes import RestrictedComplex, build_restricted_complex, degree1_basis
+from .complexes import RestrictedComplex, build_restricted_complex
 from .errors import LiftFailed, NotASubgraph, PlanarInput, StraighteningStalled
 from .graphs import (
     Graph,
@@ -110,27 +112,12 @@ _K33_G = (
 )
 
 
-def _dense_certificate(
-    seed: CanonicalSeed, complex: RestrictedComplex
-) -> TorsionCertificate:
-    h = [0] * len(complex.basis1)
-    for i, j, v in seed.h_terms:
-        h[complex.column_of_edge_copy[(i, j)]] += v
-    x = [0] * len(complex.basis2)
-    for i, j, l, v in seed.g_terms:
-        x[complex.column_of_pair_copy[(i, j, l)]] += v
-    return TorsionCertificate(
-        graph=seed.graph, shape=seed.shape, h=h, witness_x=x, prime=2,
-        complex=complex,
-    )
-
-
 @functools.cache
 def canonical_certificates() -> tuple[CanonicalSeed, CanonicalSeed]:
     """The two verified seeds, complete-graph kind first.
 
-    Every call path re-verifies both seeds on freshly built complexes; an
-    invalid seed is a build-stopping defect.
+    Both seed certificates are built and verified once per process, on the
+    first call; an invalid seed is a build-stopping defect.
     """
     seeds = (
         CanonicalSeed(
@@ -153,10 +140,21 @@ def canonical_certificates() -> tuple[CanonicalSeed, CanonicalSeed]:
     return seeds
 
 
+@functools.cache
 def seed_certificate(seed: CanonicalSeed) -> TorsionCertificate:
-    """Dense certificate of a seed on a freshly built complex, verified."""
+    """Dense certificate of a seed on its complex, built and verified once
+    per process."""
     complex = build_restricted_complex(seed.graph, seed.shape)
-    cert = _dense_certificate(seed, complex)
+    h = [0] * len(complex.basis1)
+    for i, j, v in seed.h_terms:
+        h[complex.column_of_edge_copy[(i, j)]] += v
+    x = [0] * len(complex.basis2)
+    for i, j, l, v in seed.g_terms:
+        x[complex.column_of_pair_copy[(i, j, l)]] += v
+    cert = TorsionCertificate(
+        graph=seed.graph, shape=seed.shape, h=h, witness_x=x, prime=2,
+        complex=complex,
+    )
     if not check_certificate(cert, complex).valid:
         raise AssertionError(f"seed {seed.kind} failed verification")
     return cert
@@ -216,6 +214,23 @@ def _finish_lift(
     return cert
 
 
+def _lift_onto(
+    cert: TorsionCertificate,
+    target: Graph,
+    terms: list[tuple[Numbering, int]],
+    stage: str,
+) -> TorsionCertificate:
+    """Straighten transported cycle terms on the target complex at the
+    certificate's k, then solve and verify there."""
+    shape = Partition.two_column(target.n, cert.shape.two_column_rows())
+    complex = build_restricted_complex(target, shape)
+    try:
+        h = straighten(terms, [f for _, _, f in complex.basis1], frozen_rows=1)
+    except StraighteningStalled as exc:
+        raise LiftFailed(f"{stage}: {exc}") from exc
+    return _finish_lift(complex, h, cert.prime, stage)
+
+
 def lift_subdivision(
     cert: TorsionCertificate, edge: tuple[int, int]
 ) -> TorsionCertificate:
@@ -226,32 +241,23 @@ def lift_subdivision(
     terms on the broken edge are rewritten by the exchange cascade.  The
     witness is re-solved on the new complex.
     """
-    g = cert.graph
     e = (min(edge), max(edge))
-    if e not in g.edges:
+    if e not in cert.graph.edges:
         raise ValueError(f"{edge!r} is not an edge of the certificate graph")
-    old_basis1 = degree1_basis(g, cert.shape)
-    g_new = subdivide(g, e)
-    shape_new = Partition.two_column(g_new.n, cert.shape.two_column_rows())
-    new = build_restricted_complex(g_new, shape_new)
-
-    pairs: list[tuple[Numbering, int]] = []
+    basis1 = _complex_of(cert).basis1
+    g_new = subdivide(cert.graph, e)
+    w = g_new.n
+    terms: list[tuple[Numbering, int]] = []
     for col, coeff in enumerate(cert.h):
         if not coeff:
             continue
-        filling = old_basis1[col][2]
+        filling = basis1[col][2]
         if filling.rows[0] == e:
-            for sgn, leaf in _cascade_terms(filling, g_new.n):
-                pairs.append((leaf, sgn * coeff))
+            for sgn, leaf in _cascade_terms(filling, w):
+                terms.append((leaf, sgn * coeff))
         else:
-            pairs.append((Numbering(filling.rows + ((g_new.n,),)), coeff))
-    try:
-        h_new = straighten(
-            pairs, [f for _, _, f in new.basis1], frozen_rows=1
-        )
-    except StraighteningStalled as exc:
-        raise LiftFailed(f"subdivision lift at {e!r}: {exc}") from exc
-    return _finish_lift(new, h_new, cert.prime, f"subdivision lift at {e!r}")
+            terms.append((Numbering(filling.rows + ((w,),)), coeff))
+    return _lift_onto(cert, g_new, terms, f"subdivision lift at {e!r}")
 
 
 def lift_subgraph(
@@ -281,30 +287,23 @@ def lift_subgraph(
         if not host.has_edge(a, b):
             raise NotASubgraph(f"edge {(u, v)!r} maps to non-edge {(a, b)!r}")
 
+    source = _complex_of(cert)
     if host == g and all(emb[v] == v for v in range(1, g.n + 1)):
-        verdict = check_certificate(cert, _complex_of(cert))
+        verdict = check_certificate(cert, source)
         if not verdict.valid:
             raise LiftFailed(f"identity embedding: stored certificate fails {verdict}")
         return cert
 
     spare = sorted(set(range(1, host.n + 1)) - set(image))
     tau = {**emb, **dict(zip(range(g.n + 1, host.n + 1), spare))}
-
-    old_basis1 = degree1_basis(g, cert.shape)
-    shape_big = Partition.two_column(host.n, cert.shape.two_column_rows())
-    target = build_restricted_complex(host, shape_big)
     boxes = tuple((t,) for t in range(g.n + 1, host.n + 1))
-    pairs: list[tuple[Numbering, int]] = []
+    terms: list[tuple[Numbering, int]] = []
     for col, coeff in enumerate(cert.h):
         if coeff:
-            rows = old_basis1[col][2].rows + boxes
+            rows = source.basis1[col][2].rows + boxes
             relabeled = tuple(tuple(tau[x] for x in r) for r in rows)
-            pairs.append((Numbering(relabeled), coeff))
-    try:
-        h_host = straighten(pairs, [f for _, _, f in target.basis1], frozen_rows=1)
-    except StraighteningStalled as exc:
-        raise LiftFailed(f"subgraph embedding: {exc}") from exc
-    return _finish_lift(target, h_host, cert.prime, "subgraph embedding")
+            terms.append((Numbering(relabeled), coeff))
+    return _lift_onto(cert, host, terms, "subgraph embedding")
 
 
 def certify_nonplanar(g: Graph) -> TorsionCertificate:
@@ -360,11 +359,12 @@ def certify_nonplanar(g: Graph) -> TorsionCertificate:
     steps.append(
         LiftStep(op="embed", embedding=tuple(sorted(embedding.items())))
     )
-    lifted = lift_subgraph(cert, g, embedding)
-    lifted.trace = LiftTrace(kind=witness.kind, steps=tuple(steps))
-    lifted.witness = witness
-    lifted.vertex_map = embedding
-    return lifted
+    return dataclasses.replace(
+        lift_subgraph(cert, g, embedding),
+        trace=LiftTrace(kind=witness.kind, steps=tuple(steps)),
+        witness=witness,
+        vertex_map=embedding,
+    )
 
 
 def recheck_certificate(cert: TorsionCertificate) -> CertificateVerdict:

@@ -52,13 +52,9 @@ def _write_text(path: Optional[str], text: str) -> None:
         Path(path).write_text(text)
 
 
-def _shape_label(shape: Partition) -> str:
-    return "+".join(str(p) for p in shape.parts)
-
-
 def cmd_homology(args: argparse.Namespace) -> int:
     try:
-        raw = parse_graph(_read_text(args.graph), args.input_format)
+        raw = parse_graph(_read_text(args.graph))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -125,7 +121,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     try:
-        raw = parse_graph(_read_text(args.graph), args.input_format)
+        raw = parse_graph(_read_text(args.graph))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -188,10 +184,14 @@ def cmd_survey(args: argparse.Namespace) -> int:
                 print("error: give a corpus file or --generate N", file=sys.stderr)
                 return EXIT_INPUT
             items = []
-            for ln in _read_text(args.corpus).splitlines():
+            for lineno, ln in enumerate(_read_text(args.corpus).splitlines(), 1):
                 ln = ln.split("#", 1)[0].strip()
-                if ln:
-                    items.append(parse_graph(ln, "auto"))
+                if not ln:
+                    continue
+                g, report = normalize(parse_graph(ln))
+                if report.had_loop:
+                    raise ValueError(f"corpus line {lineno}: graph has a loop")
+                items.append(g)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -230,16 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_graph_input(p: argparse.ArgumentParser) -> None:
-        p.add_argument("graph", help="graph file (edge list or graph6), or - for stdin")
-        p.add_argument(
-            "--input-format",
-            choices=("auto", "edge-list", "graph6"),
-            default="auto",
-        )
+    graph_help = "graph file (edge list or graph6), or - for stdin"
 
     p = sub.add_parser("homology", help="compute integral homology across shapes")
-    add_graph_input(p)
+    p.add_argument("graph", help=graph_help)
     p.add_argument(
         "--shape",
         type=int,
@@ -252,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_homology)
 
     p = sub.add_parser("certify", help="build a torsion certificate for a non-planar graph")
-    add_graph_input(p)
+    p.add_argument("graph", help=graph_help)
     p.add_argument("--out", default=None, help="certificate file (default stdout)")
     p.set_defaults(fn=cmd_certify)
 

@@ -50,19 +50,9 @@ class RestrictedComplex:
     d2: tuple[tuple[int, ...], ...]
 
     @property
-    def k(self) -> int:
-        return self.shape.two_column_rows()
-
-    @property
     def copies1(self) -> int:
         """Specht multiplicity K of each edge block."""
         return len(self.basis1) // self.graph.m if self.graph.m else 0
-
-    @cached_property
-    def column_of_filling(self) -> dict[Numbering, int]:
-        """Degree-1 column lookup; fillings are globally distinct since the
-        top row pins the edge."""
-        return {item[2]: col for col, item in enumerate(self.basis1)}
 
     @cached_property
     def column_of_edge_copy(self) -> dict[tuple[int, int], int]:

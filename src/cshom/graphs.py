@@ -176,8 +176,8 @@ def parse_edge_list(text: str) -> Graph:
         if not (1 <= u <= n and 1 <= v <= n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         raw.append((u, v) if u <= v else (v, u))
-    # exact duplicates are dropped here; loops survive until normalize
-    return Graph(n, tuple(sorted(set(raw))))
+    # loops and duplicate edges survive until normalize reports them
+    return Graph(n, tuple(sorted(raw)))
 
 
 def parse_graph6(line: str) -> Graph:
@@ -231,25 +231,15 @@ def to_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def parse_graph(text: str, fmt: str = "auto") -> Graph:
-    """Parse a graph from edge-list or graph6 text."""
-    if fmt not in ("auto", "edge-list", "graph6"):
-        raise ValueError(f"unknown graph format {fmt!r}")
-    if fmt == "auto":
-        stripped = [
-            ln.split("#", 1)[0].strip() for ln in text.splitlines()
-        ]
-        stripped = [ln for ln in stripped if ln]
-        first = stripped[0] if stripped else ""
-        parts = first.split()
-        fmt = (
-            "edge-list"
-            if len(parts) >= 2 and all(p.isdigit() for p in parts[:2])
-            else "graph6"
-        )
-    if fmt == "edge-list":
-        return parse_edge_list(text)
+def parse_graph(text: str) -> Graph:
+    """Parse a graph from edge-list or graph6 text.
+
+    An edge list starts with a digit and graph6 text never contains one, so
+    the first character outside comments decides the format.
+    """
     lines = [ln for ln in (l.split("#", 1)[0].strip() for l in text.splitlines()) if ln]
+    if lines and lines[0][0].isdigit():
+        return parse_edge_list(text)
     if len(lines) != 1:
         raise ValueError("expected exactly one graph6 line")
     return parse_graph6(lines[0])

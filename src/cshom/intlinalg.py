@@ -451,7 +451,7 @@ def _is_prime(n: int) -> bool:
     return 2 <= n < 1 << 31 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TorsionCertificate:
     """Witness data for a p-torsion class in bidegree (1, 0).
 
@@ -464,7 +464,9 @@ class TorsionCertificate:
     by lifting: the construction trace, the subgraph witness it grew from,
     and the internal-to-input vertex relabeling.  complex is the complex the
     certificate was built and verified on, kept so that serializing it
-    needs no second build; it takes no part in comparison or repr.
+    needs no second build; it takes no part in comparison or repr.  A
+    certificate is immutable; dataclasses.replace gives a copy with other
+    provenance.
     """
 
     graph: object
@@ -478,8 +480,8 @@ class TorsionCertificate:
     complex: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.h = tuple(int(x) for x in self.h)
-        self.witness_x = tuple(int(x) for x in self.witness_x)
+        object.__setattr__(self, "h", tuple(int(x) for x in self.h))
+        object.__setattr__(self, "witness_x", tuple(int(x) for x in self.witness_x))
         if not _is_prime(self.prime):
             raise ValueError(f"prime must be a prime below 2^31, got {self.prime}")
 

@@ -1,15 +1,11 @@
 """Permutations of {1..n} in one-line notation.
 
-A permutation is a tuple ``p`` with ``p[i]`` the image of ``i + 1``.  Every
-module that lets permutations act on labelled objects (tableau entries, graph
-vertices, group-algebra basis elements) goes through `apply` and `compose`
-below, so the entry-action convention is defined exactly once.
+A permutation is a tuple ``p`` with ``p[i]`` the image of ``i + 1``.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Perm = tuple[int, ...]
 
@@ -18,21 +14,9 @@ def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
-def apply(p: Perm, x: int) -> int:
-    """Image of the point ``x`` under ``p``."""
-    return p[x - 1]
-
-
 def compose(p: Perm, q: Perm) -> Perm:
     """Product ``p * q``: the right factor acts first."""
     return tuple(p[q[i] - 1] for i in range(len(p)))
-
-
-def inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v - 1] = i + 1
-    return tuple(out)
 
 
 def sign(p: Perm) -> int:
@@ -74,8 +58,3 @@ def from_mapping(mapping: dict[int, int], n: int) -> Perm:
     if sorted(p) != list(range(1, n + 1)):
         raise ValueError("mapping is not a bijection")
     return p
-
-
-def all_perms(n: int) -> Iterator[Perm]:
-    """All of S_n in lexicographic one-line order."""
-    return permutations(range(1, n + 1))

@@ -62,10 +62,6 @@ class Partition:
     def __getitem__(self, i: int) -> int:
         return self.parts[i]
 
-    def is_two_column(self, k: int) -> bool:
-        """True if this shape is (2^k, 1^(n-2k))."""
-        return self.parts == (2,) * k + (1,) * (self.n - 2 * k)
-
     def two_column_rows(self) -> int | None:
         """k when the shape is (2^k, 1^(n-2k)), else None."""
         k = sum(1 for p in self.parts if p == 2)
@@ -132,17 +128,6 @@ class Numbering:
 
     def __lt__(self, other: "Numbering") -> bool:
         return self.key() < other.key()
-
-    def is_standard(self) -> bool:
-        rows = self.rows
-        for row in rows:
-            if any(row[c] >= row[c + 1] for c in range(len(row) - 1)):
-                return False
-        for r in range(1, len(rows)):
-            upper, lower = rows[r - 1], rows[r]
-            if any(upper[c] >= lower[c] for c in range(len(lower))):
-                return False
-        return True
 
 
 def numbering(*rows: Sequence[int]) -> Numbering:
@@ -411,12 +396,7 @@ def straighten(
             raise ValueError(f"duplicate basis entry: {b.rows!r}")
         index[b] = pos
 
-    if isinstance(v, Numbering):
-        pairs = [(v, 1)]
-    elif isinstance(v, NumberingVector):
-        pairs = v.items()
-    else:
-        pairs = list(v)
+    pairs = [(v, 1)] if isinstance(v, Numbering) else list(v)
 
     out = [0] * len(basis)
     work: list[tuple[int, Numbering]] = []

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -263,11 +264,24 @@ def test_certify_builds_each_stage_once(g, monkeypatch):
     doc = certificate_to_dict(cert)
     assert doc["verdict"] == {"cycle": True, "doubled": True, "not_in_image": True}
     s = sum(1 for step in cert.trace.steps if step.op == "subdivide")
-    # one seed complex, one per subdivision and the host; the identity
-    # embedding and the document reuse the complex the last stage verified on
-    assert len(builds) <= s + 2
+    # one complex per subdivision and the host; the seed was verified once
+    # at set-up, and the identity embedding and the document reuse the
+    # complex the last stage verified on
+    assert len(builds) <= s + 1
     assert len(set(builds)) == len(builds)
-    assert (g, cert.shape) in builds
+    assert ((g, cert.shape) in builds) == (g != complete_graph(5))
+
+
+def test_certify_shares_the_cached_seed_unchanged():
+    seed5, _ = canonical_certificates()
+    cert = certify_nonplanar(complete_graph(5))
+    seed = seed_certificate(seed5)
+    assert cert.trace is not None and cert.h == seed.h
+    assert seed.trace is None and seed.witness is None and seed.vertex_map is None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        seed.trace = cert.trace
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.h = ()
 
 
 def test_lift_subgraph_builds_only_the_host(monkeypatch):

@@ -50,6 +50,36 @@ def test_homology_loop_input_is_zero(tmp_path, capsys):
     assert "order-2 torsion detected: no" in out
 
 
+def test_homology_reports_duplicate_edges(tmp_path, capsys):
+    g = _write_graph(tmp_path, "dup.txt", "4 4 1 2 1 2 2 3 3 4\n")
+    assert main(["homology", g, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["collapsed_multiedges"] == 1 and doc["m"] == 3
+    assert main(["homology", g]) == 0
+    out = capsys.readouterr().out
+    assert "collapsed 1 duplicate edge(s)" in out
+    assert "graph: n=4 m=3" in out
+
+
+def test_certify_notes_duplicate_edges(tmp_path, capsys):
+    g = _write_graph(tmp_path, "k5dup.txt", "5 11 1 2 " + K5_EDGE_LIST[5:])
+    assert main(["certify", g]) == 0
+    captured = capsys.readouterr()
+    assert "note: certifying the simple graph underlying the input" in captured.err
+    assert json.loads(captured.out)["graph"]["edges"] == [
+        list(e) for e in complete_graph(5).edges
+    ]
+
+
+def test_homology_edge_list_header_split_across_lines(tmp_path, capsys):
+    g = _write_graph(tmp_path, "p3.txt", "3\n2\n1 2\n2 3\n")
+    assert main(["homology", g, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["n"], doc["m"]) == (3, 2)
+    with pytest.raises(SystemExit):
+        main(["homology", g, "--input-format", "edge-list"])
+
+
 def test_homology_graph6_stdin(capsys, monkeypatch):
     import io
 
@@ -239,6 +269,26 @@ def test_survey_corpus_file(tmp_path, capsys):
     cert_file = tmp_path / "certs" / by_n[5]["certificate"]
     assert cert_file.exists()
     assert main(["check", str(cert_file)]) == 0
+
+
+def test_survey_refuses_corpus_graph_with_loop(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("# comment\n" + C4_EDGE_LIST + "3 2 1 1 2 3\n")
+    cache = tmp_path / "cache"
+    assert main(["survey", str(corpus), "--cache", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert "corpus line 3" in err and "loop" in err
+    assert "Traceback" not in err
+    assert not cache.exists()
+
+
+def test_survey_corpus_collapses_duplicate_edges(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("4 5 1 2 2 3 3 4 1 4 2 1\n")
+    cache = str(tmp_path / "cache")
+    assert main(["survey", str(corpus), "--cache", cache, "--format", "jsonl"]) == 0
+    [record] = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert (record["n"], record["m"], record["planar"]) == (4, 4, True)
 
 
 def test_survey_without_input(capsys):

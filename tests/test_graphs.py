@@ -122,12 +122,17 @@ def test_parse_edge_list():
         parse_edge_list("3 2\n1 2\n")  # missing an edge
     with pytest.raises(ValueError):
         parse_edge_list("2 1\n1 5\n")  # endpoint out of range
+    # loops and duplicates are kept for normalize to report
+    assert parse_edge_list("3 3 2 1 1 2 3 3").edges == ((1, 2), (1, 2), (3, 3))
 
 
 def test_parse_graph_auto():
     g6 = to_graph6(complete_graph(5))
     assert parse_graph(g6) == complete_graph(5)
     assert parse_graph("3 2 1 2 2 3") == path_graph(3)
+    assert parse_graph("# path\n3\n2\n1 2\n2 3\n") == path_graph(3)
+    with pytest.raises(ValueError):
+        parse_graph("3\n")  # an edge list, not graph6
 
 
 def test_planarity_known_cases():
