@@ -188,7 +188,10 @@ def cmd_survey(args: argparse.Namespace) -> int:
                 ln = ln.split("#", 1)[0].strip()
                 if not ln:
                     continue
-                g, report = normalize(parse_graph(ln))
+                try:
+                    g, report = normalize(parse_graph(ln))
+                except ValueError as exc:
+                    raise ValueError(f"corpus line {lineno}: {exc}") from None
                 if report.had_loop:
                     raise ValueError(f"corpus line {lineno}: graph has a loop")
                 items.append(g)

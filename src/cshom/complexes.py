@@ -36,9 +36,9 @@ class RestrictedComplex:
 
     basis1 rows are (edge_index, copy, filling) and basis2 rows are
     ((i, j), copy, filling); indices are 1-based to match the generator
-    names X_i^j and W_{i,j}^l used in reports and certificates.  Matrices
-    are row tuples of ints; d1 is |basis0| x |basis1|, d2 is
-    |basis1| x |basis2|.
+    names X_i^j and W_{i,j}^l used in reports and certificates.  d1 and d2
+    are tuples of rows, each row a tuple of Python ints; d1 is
+    |basis0| x |basis1|, d2 is |basis1| x |basis2|.
     """
 
     graph: Graph
@@ -128,10 +128,7 @@ def build_restricted_complex(g: Graph, shape: Partition) -> RestrictedComplex:
     kcopies = len(basis1) // g.m if g.m else 0
 
     d1_cols = [straighten(x, basis0) for x in fillings1]
-    d1 = tuple(
-        tuple(d1_cols[c][r] for c in range(len(basis1)))
-        for r in range(len(basis0))
-    )
+    d1 = tuple(zip(*d1_cols)) if d1_cols else ((),) * len(basis0)
 
     basis2: list[tuple[tuple[int, int], int, Numbering]] = []
     d2_cols: list[list[int]] = []
@@ -159,13 +156,10 @@ def build_restricted_complex(g: Graph, shape: Partition) -> RestrictedComplex:
                     col[i0 * kcopies + s] = -v
                 d2_cols.append(col)
 
-    d2 = tuple(
-        tuple(d2_cols[c][r] for c in range(len(d2_cols)))
-        for r in range(len(basis1))
-    )
+    d2 = tuple(zip(*d2_cols)) if d2_cols else ((),) * len(basis1)
 
     if d2_cols:
-        prod = mat_mul([list(r) for r in d1], [list(r) for r in d2])
+        prod = mat_mul(d1, d2)
         if any(x for row in prod for x in row):
             raise ComplexNotExact(
                 f"d1 d2 != 0 for graph {g.edges!r} at shape {shape.parts!r}"

@@ -210,7 +210,9 @@ def kernel_basis(m: Matrix) -> list[list[int]]:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product with plain-int results."""
+    """Exact matrix product with plain-int results.  Operands are row lists
+    or row tuples of ints; the product runs on int64 when every entry fits
+    and max|a| max|b| cols < 2^62, else on object dtype."""
     ra, ca = _dims(a)
     rb, cb = _dims(b)
     if ca != rb:
@@ -219,10 +221,16 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         return [[] for _ in range(ra)]
     if ca == 0:
         return [[0] * cb for _ in range(ra)]
-    ma = max((abs(x) for row in a for x in row), default=0)
-    mb = max((abs(x) for row in b for x in row), default=0)
-    if ma and mb and ma * mb * ca < (1 << 62):
-        return (np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)).tolist()
+    try:
+        na = np.array(a, dtype=np.int64)
+        nb = np.array(b, dtype=np.int64)
+    except OverflowError:
+        pass
+    else:
+        ma = max(-int(na.min()), int(na.max()))
+        mb = max(-int(nb.min()), int(nb.max()))
+        if ma * mb * ca < (1 << 62):
+            return (na @ nb).tolist()
     aa = np.empty((ra, ca), dtype=object)
     for i in range(ra):
         aa[i, :] = a[i]

@@ -135,17 +135,14 @@ def numbering(*rows: Sequence[int]) -> Numbering:
     return Numbering(tuple(tuple(r) for r in rows))
 
 
-def canonicalize(nb: Numbering, frozen_rows: int = 0) -> tuple[int, Numbering]:
-    """Signed canonical representative.
-
-    Sorting inside a row is free.  Below the frozen prefix, rows of equal
-    length are put in ascending order of content; permuting rows of length L
-    multiplies the underlying element by the permutation sign raised to L,
-    so only odd-length blocks can flip the sign.
-    """
-    if not 0 <= frozen_rows <= len(nb.rows):
+def _canonical_rows(
+    rows: Sequence[Sequence[int]], frozen_rows: int
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Sign and rows of the canonical representative of a filling given as
+    row tuples; canonicalize documents the form."""
+    if not 0 <= frozen_rows <= len(rows):
         raise ValueError(f"frozen_rows out of range: {frozen_rows}")
-    rows = [tuple(sorted(row)) for row in nb.rows]
+    rows = [tuple(sorted(row)) for row in rows]
     out = rows[:frozen_rows]
     sign = 1
     i = frozen_rows
@@ -159,7 +156,20 @@ def canonicalize(nb: Numbering, frozen_rows: int = 0) -> tuple[int, Numbering]:
             sign *= sort_sign(block)
         out.extend(ordered)
         i = j
-    return sign, Numbering(tuple(out))
+    return sign, tuple(out)
+
+
+def canonicalize(nb: Numbering, frozen_rows: int = 0) -> tuple[int, Numbering]:
+    """Signed canonical representative.
+
+    Sorting inside a row is free.  Below the frozen prefix, rows of equal
+    length are put in ascending order of content; permuting rows of length L
+    multiplies the underlying element by the permutation sign raised to L,
+    so only odd-length blocks can flip the sign.  The work is done on plain
+    row tuples by _canonical_rows, which straighten calls directly.
+    """
+    sign, rows = _canonical_rows(nb.rows, frozen_rows)
+    return sign, Numbering(rows)
 
 
 class NumberingVector:
@@ -387,23 +397,26 @@ def straighten(
     decreases, so on two-column shapes the loop always reaches fillings
     with no violations; those must be basis members.
 
+    The rewrite runs on plain row tuples, keyed against basis rows; no
+    Numbering is built per step.
+
     Raises StraighteningStalled when a violation-free term is not in the
     basis, or when the rewrite exceeds STRAIGHTEN_STEP_LIMIT steps.
     """
-    index: dict[Numbering, int] = {}
+    index: dict[tuple[tuple[int, ...], ...], int] = {}
     for pos, b in enumerate(basis):
-        if b in index:
+        if b.rows in index:
             raise ValueError(f"duplicate basis entry: {b.rows!r}")
-        index[b] = pos
+        index[b.rows] = pos
 
     pairs = [(v, 1)] if isinstance(v, Numbering) else list(v)
 
     out = [0] * len(basis)
-    work: list[tuple[int, Numbering]] = []
+    work: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
     for nb, c in pairs:
         if not c:
             continue
-        sgn, canon = canonicalize(nb, frozen_rows)
+        sgn, canon = _canonical_rows(nb.rows, frozen_rows)
         work.append((c * sgn, canon))
 
     steps = 0
@@ -413,23 +426,25 @@ def straighten(
             raise StraighteningStalled(
                 f"rewrite did not settle within {STRAIGHTEN_STEP_LIMIT} steps"
             )
-        c, s = work.pop()
-        hit = _violation(s.rows, frozen_rows)
+        c, rows = work.pop()
+        hit = _violation(rows, frozen_rows)
         if hit is None:
-            pos = index.get(s)
+            pos = index.get(rows)
             if pos is None:
                 raise StraighteningStalled(
-                    f"violation-free term {s.rows!r} is not in the basis"
+                    f"violation-free term {rows!r} is not in the basis"
                 )
             out[pos] += c
             continue
         r, col = hit
-        x = s.rows[r][col]
-        low_rest = s.rows[r][:col] + s.rows[r][col + 1 :]
-        for t, y in enumerate(s.rows[r - 1]):
-            up = s.rows[r - 1][:t] + (x,) + s.rows[r - 1][t + 1 :]
-            nb = Numbering(s.rows[: r - 1] + (up, (y,) + low_rest) + s.rows[r + 1 :])
-            sgn, canon = canonicalize(nb, frozen_rows)
+        upper, lower = rows[r - 1], rows[r]
+        x = lower[col]
+        low_rest = lower[:col] + lower[col + 1 :]
+        for t, y in enumerate(upper):
+            up = upper[:t] + (x,) + upper[t + 1 :]
+            sgn, canon = _canonical_rows(
+                rows[: r - 1] + (up, (y,) + low_rest) + rows[r + 1 :], frozen_rows
+            )
             work.append((-c * sgn, canon))
 
     return out

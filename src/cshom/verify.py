@@ -175,7 +175,7 @@ def _check_torsion(kind: str) -> tuple[bool, str]:
     seed5, seed33 = canonical_certificates()
     seed = seed5 if kind == "K5" else seed33
     c = build_restricted_complex(seed.graph, seed.shape)
-    hg = homology_group([list(r) for r in c.d1], [list(r) for r in c.d2])
+    hg = homology_group(c.d1, c.d2)
     got = (hg.betti, hg.invariant_factors)
     return _fmt(got == (0, (2,)), got, (0, (2,)))
 

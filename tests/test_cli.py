@@ -282,6 +282,16 @@ def test_survey_refuses_corpus_graph_with_loop(tmp_path, capsys):
     assert not cache.exists()
 
 
+def test_survey_names_the_corpus_line_of_a_parse_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("D?{\n3 2 1 2\n")
+    cache = tmp_path / "cache"
+    assert main(["survey", str(corpus), "--cache", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "error: corpus line 2: expected 2 edges after header, got 1"
+    assert not cache.exists()
+
+
 def test_survey_corpus_collapses_duplicate_edges(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("4 5 1 2 2 3 3 4 1 4 2 1\n")

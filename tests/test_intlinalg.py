@@ -199,6 +199,48 @@ def test_mat_mul_basic_and_empty():
     assert mat_mul([[1, 2], [3, 4]], [[0, 1], [1, 0]]) == [[2, 1], [4, 3]]
 
 
+def _reference_product(a, b):
+    """Schoolbook product in Python ints."""
+    cols = len(b[0]) if b else 0
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(cols)] for row in a]
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[2**63, 1]], [[1], [2]]),  # does not fit int64
+        ([[-(2**63)]], [[1, -1]]),  # fits int64, bound too large
+        ([[2**30, 2**30]], [[2**31 - 1], [2**31 - 1]]),  # bound just below 2^62
+        ([[2**31, 2**31]], [[2**31], [2**31]]),  # bound 2^63: int64 would wrap
+        ([[-(2**31), -(2**31)]], [[2**31], [2**31]]),
+        ([[2**31]], [[2**31]]),  # bound exactly 2^62
+        ([[0, 0], [0, 0]], [[0], [0]]),
+        ([[0, 0]], [[5, -7], [3, 1]]),
+        ([[1, 2]], [[], []]),
+        ([[], []], []),
+        (((1, 2), (3, 4)), ((5, -1), (6, 2))),
+        (((2**62, 0),), ((3,), (4,))),
+    ],
+    ids=[
+        "2^63", "-2^63", "bound-below-2^62", "bound-2^63", "product--2^63",
+        "bound-2^62", "zeros", "zero-left", "no-columns", "no-inner",
+        "tuples", "tuples-2^62",
+    ],
+)
+def test_mat_mul_matches_reference_at_the_int64_boundary(a, b):
+    got = mat_mul(a, b)
+    assert got == _reference_product(a, b)
+    assert all(type(x) is int for row in got for x in row)
+
+
+def test_homology_group_rejects_composites_past_int64():
+    # 2^41 * 2^23 = 2^64 wraps to 0 in int64
+    with pytest.raises(ComplexNotExact):
+        homology_group([[2**41]], [[2**23]])
+    with pytest.raises(ComplexNotExact):
+        homology_group([[2**41, 2**41]], [[2**41], [2**41]])
+
+
 def reference_solve(m, b):
     """The dense route that solve_integer replaced, kept as its oracle: with
     U m V = S from one SNF with both transforms, solve S y = U b entrywise

@@ -1,14 +1,22 @@
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
+import cshom.certificates
+import cshom.complexes
+import cshom.tableaux
+from cshom.certificates import certify_nonplanar
+from cshom.complexes import build_restricted_complex
 from cshom.errors import StraighteningStalled
 from cshom.groupalg import expand_in_basis, specht_vector
 from cshom.tableaux import (
+    STRAIGHTEN_STEP_LIMIT,
     Numbering,
     NumberingVector,
     Partition,
+    _violation,
     canonicalize,
     enumerate_ssyt,
     enumerate_syt,
@@ -18,7 +26,13 @@ from cshom.tableaux import (
     standardize,
     straighten,
 )
-from cshom.graphs import complete_graph
+from cshom.graphs import (
+    Graph,
+    complete_bipartite,
+    complete_graph,
+    petersen_graph,
+    subdivide,
+)
 
 
 def test_partition_validation():
@@ -270,3 +284,161 @@ def test_numbering_vector_accumulates_canonical_terms():
         ]
     )
     assert v == {numbering((1, 2), (3, 4), (5,)): 3}
+
+
+def reference_straighten(v, basis, frozen_rows=0):
+    """The Numbering-based rewrite that straighten replaced, kept as its
+    oracle: every step builds a Numbering and canonicalizes it."""
+    index: dict[Numbering, int] = {}
+    for pos, b in enumerate(basis):
+        if b in index:
+            raise ValueError(f"duplicate basis entry: {b.rows!r}")
+        index[b] = pos
+
+    pairs = [(v, 1)] if isinstance(v, Numbering) else list(v)
+
+    out = [0] * len(basis)
+    work: list[tuple[int, Numbering]] = []
+    for nb, c in pairs:
+        if not c:
+            continue
+        sgn, canon = canonicalize(nb, frozen_rows)
+        work.append((c * sgn, canon))
+
+    steps = 0
+    while work:
+        steps += 1
+        if steps > STRAIGHTEN_STEP_LIMIT:
+            raise StraighteningStalled(
+                f"rewrite did not settle within {STRAIGHTEN_STEP_LIMIT} steps"
+            )
+        c, s = work.pop()
+        hit = _violation(s.rows, frozen_rows)
+        if hit is None:
+            pos = index.get(s)
+            if pos is None:
+                raise StraighteningStalled(
+                    f"violation-free term {s.rows!r} is not in the basis"
+                )
+            out[pos] += c
+            continue
+        r, col = hit
+        x = s.rows[r][col]
+        low_rest = s.rows[r][:col] + s.rows[r][col + 1 :]
+        for t, y in enumerate(s.rows[r - 1]):
+            up = s.rows[r - 1][:t] + (x,) + s.rows[r - 1][t + 1 :]
+            nb = Numbering(s.rows[: r - 1] + (up, (y,) + low_rest) + s.rows[r + 1 :])
+            sgn, canon = canonicalize(nb, frozen_rows)
+            work.append((-c * sgn, canon))
+
+    return out
+
+
+def _heawood():
+    edges = [(i + 1, (i + 1) % 14 + 1) for i in range(14)]
+    edges += [(i + 1, (i + 5) % 14 + 1) for i in range(0, 14, 2)]
+    return Graph.from_edges(14, edges)
+
+
+def _k5_six_subdivided():
+    g = complete_graph(5)
+    for e in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 4)):
+        g = subdivide(g, e)
+    return g
+
+
+def test_straighten_matches_reference_on_every_pipeline_call(monkeypatch):
+    calls = []
+    mismatches = []
+
+    def checked(v, basis, frozen_rows=0):
+        v = v if isinstance(v, Numbering) else list(v)
+        got = straighten(v, basis, frozen_rows)
+        calls.append(frozen_rows)
+        if got != reference_straighten(v, basis, frozen_rows):
+            mismatches.append((v, frozen_rows))
+        return got
+
+    monkeypatch.setattr(cshom.complexes, "straighten", checked)
+    monkeypatch.setattr(cshom.certificates, "straighten", checked)
+    builds = [(petersen_graph(), k) for k in (2, 3, 4, 5)]
+    builds += [(complete_graph(8), k) for k in (2, 3, 4)]
+    builds += [(complete_bipartite(range(1, 6), range(6, 11)), 2)]
+    builds += [(complete_graph(10), 2)]
+    for g, k in builds:
+        build_restricted_complex(g, Partition.two_column(g.n, k))
+    for g in (petersen_graph(), _heawood(), _k5_six_subdivided()):
+        certify_nonplanar(g)
+    assert mismatches == []
+    assert set(calls) == {0, 1}
+    assert len(calls) > 10_000
+
+
+@functools.cache
+def _violation_free_fillings(shape, frozen_rows):
+    """Every canonical filling of the shape with no violation below the
+    frozen prefix: a basis on which straightening never stalls."""
+    out = set()
+    for perm in itertools.permutations(range(1, shape.n + 1)):
+        rows, pos = [], 0
+        for length in shape.parts:
+            rows.append(perm[pos : pos + length])
+            pos += length
+        _, canon = canonicalize(Numbering(tuple(rows)), frozen_rows)
+        if _violation(canon.rows, frozen_rows) is None:
+            out.add(canon)
+    return tuple(sorted(out, key=Numbering.key))
+
+
+@given(st.data())
+def test_straighten_matches_reference_on_linear_combinations(data):
+    first = _two_column_numbering(data.draw, 5, 7)
+    shape = first.shape
+    frozen_rows = data.draw(st.integers(0, 1))
+    coeffs = st.integers(-3, 3).filter(bool)
+    pairs = [(first, data.draw(coeffs))]
+    for _ in range(data.draw(st.integers(0, 3))):
+        perm = data.draw(st.permutations(list(range(1, shape.n + 1))))
+        rows, pos = [], 0
+        for length in shape.parts:
+            rows.append(tuple(perm[pos : pos + length]))
+            pos += length
+        pairs.append((Numbering(tuple(rows)), data.draw(coeffs)))
+    basis = _violation_free_fillings(shape, frozen_rows)
+    assert straighten(pairs, basis, frozen_rows) == reference_straighten(
+        pairs, basis, frozen_rows
+    )
+
+
+def test_straighten_rejects_frozen_rows_past_the_shape():
+    v = numbering((1, 3), (2, 4), (5,))
+    basis = enumerate_syt(v.shape)
+    with pytest.raises(ValueError, match="frozen_rows out of range"):
+        straighten(v, basis, frozen_rows=len(v.rows) + 1)
+
+
+def test_straighten_builds_no_numbering_per_rewrite_step(monkeypatch):
+    g = petersen_graph()
+    c = build_restricted_complex(g, Partition.two_column(g.n, 3))
+    column = c.basis1[-1][2]
+    want = reference_straighten(column, c.basis0)
+
+    constructed = []
+    canonical_calls = []
+    real_post_init = Numbering.__post_init__
+    real_canonical_rows = cshom.tableaux._canonical_rows
+
+    def counting_post_init(self):
+        constructed.append(self)
+        real_post_init(self)
+
+    def counting_canonical_rows(rows, frozen_rows):
+        canonical_calls.append(rows)
+        return real_canonical_rows(rows, frozen_rows)
+
+    monkeypatch.setattr(Numbering, "__post_init__", counting_post_init)
+    monkeypatch.setattr(cshom.tableaux, "_canonical_rows", counting_canonical_rows)
+    got = straighten(column, c.basis0)
+    assert got == want
+    assert len(canonical_calls) > 1  # the column needs rewrite steps
+    assert constructed == []
