@@ -3,14 +3,15 @@
 Two seed certificates (one per Kuratowski kind) are pinned as explicit
 generator combinations, built and verified once per process.  A certificate
 for an arbitrary non-planar graph is produced by locating a Kuratowski
-subdivision, replaying its subdivisions on the seed while lifting the
-certificate edge by edge, and embedding the result into the input graph in
-one relabeling stage.  A lift reads the source fillings from the complex
-the certificate carries and builds only the target complex.
-Every stage re-solves for the degree-2 witness and re-verifies all three
-certificate checks, so any defect in the rewriting surfaces as LiftFailed
-rather than as a wrong certificate.  Certificates are immutable, so the
-cached seeds are shared as they are; provenance goes onto a copy.
+subdivision, carrying the seed cycle through all of its subdivisions in one
+stage, and embedding the result into the input graph in a second, relabeling
+stage.  A stage reads the source fillings from the complex the certificate
+carries, rewrites them as plain row tuples, and builds, straightens on and
+solves over only the target complex.  Every stage re-solves for the degree-2
+witness and re-verifies all three certificate checks, so any defect in the
+rewriting surfaces as LiftFailed rather than as a wrong certificate.
+Certificates are immutable, so the cached seeds are shared as they are;
+provenance goes onto a copy.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .complexes import RestrictedComplex, build_restricted_complex
 from .errors import LiftFailed, NotASubgraph, PlanarInput, StraighteningStalled
 from .graphs import (
     Graph,
-    SubdivisionWitness,
     complete_bipartite,
     complete_graph,
     find_kuratowski_subdivision,
@@ -160,9 +160,10 @@ def seed_certificate(seed: CanonicalSeed) -> TorsionCertificate:
     return cert
 
 
-def _cascade_terms(
-    filling: Numbering, new_label: int
-) -> list[tuple[int, Numbering]]:
+Rows = tuple[tuple[int, ...], ...]
+
+
+def _cascade_terms(rows: Rows, new_label: int) -> list[tuple[int, Rows]]:
     """Rewrite (broken-edge filling + appended new-vertex box) so the new
     vertex reaches the top row.
 
@@ -171,15 +172,13 @@ def _cascade_terms(
     replaces one endpoint of the old top-row pair, so every leaf's top row
     is one of the two replacement edges.
     """
-    start = filling.rows + ((new_label,),)
-    work: list[tuple[int, tuple[tuple[int, ...], ...], int]] = [
-        (1, start, len(start) - 1)
-    ]
-    leaves: list[tuple[int, Numbering]] = []
+    start = rows + ((new_label,),)
+    work: list[tuple[int, Rows, int]] = [(1, start, len(start) - 1)]
+    leaves: list[tuple[int, Rows]] = []
     while work:
         c, rows, p = work.pop()
         if p == 0:
-            leaves.append((c, Numbering(rows)))
+            leaves.append((c, rows))
             continue
         upper, lower = rows[p - 1], rows[p]
         pos = lower.index(new_label)
@@ -217,47 +216,61 @@ def _finish_lift(
 def _lift_onto(
     cert: TorsionCertificate,
     target: Graph,
-    terms: list[tuple[Numbering, int]],
+    terms: list[tuple[Rows, int]],
     stage: str,
 ) -> TorsionCertificate:
-    """Straighten transported cycle terms on the target complex at the
-    certificate's k, then solve and verify there."""
+    """Straighten transported cycle terms, given as row tuples, on the
+    target complex at the certificate's k, then solve and verify there."""
     shape = Partition.two_column(target.n, cert.shape.two_column_rows())
     complex = build_restricted_complex(target, shape)
     try:
-        h = straighten(terms, [f for _, _, f in complex.basis1], frozen_rows=1)
+        h = straighten(
+            [(Numbering(rows), coeff) for rows, coeff in terms],
+            [f for _, _, f in complex.basis1],
+            frozen_rows=1,
+        )
     except StraighteningStalled as exc:
         raise LiftFailed(f"{stage}: {exc}") from exc
     return _finish_lift(complex, h, cert.prime, stage)
 
 
-def lift_subdivision(
-    cert: TorsionCertificate, edge: tuple[int, int]
-) -> TorsionCertificate:
-    """Transport a certificate across one edge subdivision.
-
-    The subdivided graph gets vertex n+1 in the middle of `edge`.  Cycle
-    terms on surviving edges gain the new vertex as a final singleton box;
-    terms on the broken edge are rewritten by the exchange cascade.  The
-    witness is re-solved on the new complex.
-    """
-    e = (min(edge), max(edge))
-    if e not in cert.graph.edges:
-        raise ValueError(f"{edge!r} is not an edge of the certificate graph")
+def _cycle_rows(cert: TorsionCertificate) -> list[tuple[Rows, int]]:
+    """The certificate's cycle as (filling rows, coefficient) terms."""
     basis1 = _complex_of(cert).basis1
-    g_new = subdivide(cert.graph, e)
-    w = g_new.n
-    terms: list[tuple[Numbering, int]] = []
-    for col, coeff in enumerate(cert.h):
-        if not coeff:
-            continue
-        filling = basis1[col][2]
-        if filling.rows[0] == e:
-            for sgn, leaf in _cascade_terms(filling, w):
-                terms.append((leaf, sgn * coeff))
-        else:
-            terms.append((Numbering(filling.rows + ((w,),)), coeff))
-    return _lift_onto(cert, g_new, terms, f"subdivision lift at {e!r}")
+    return [(basis1[col][2].rows, coeff) for col, coeff in enumerate(cert.h) if coeff]
+
+
+def lift_subdivision(
+    cert: TorsionCertificate, edges: Sequence[tuple[int, int]]
+) -> TorsionCertificate:
+    """Transport a certificate across a chain of edge subdivisions.
+
+    The i-th edge of `edges` is an edge of the graph after the first i - 1
+    subdivisions, and is split by the next vertex label, n + i.  The cycle
+    terms are carried through every subdivision as plain row tuples: a term
+    whose top row is the broken edge is rewritten by the exchange cascade,
+    any other term gains the new vertex as a final singleton box.  The terms
+    are straightened once, on the complex of the last graph, and the
+    witness is solved and verified there, so the whole chain is one stage.
+    """
+    broken = [(min(edge), max(edge)) for edge in edges]
+    if not broken:
+        raise ValueError("no edge to subdivide")
+    g = cert.graph
+    terms = _cycle_rows(cert)
+    for e in broken:
+        if e not in g.edges:
+            raise ValueError(f"{e!r} is not an edge of the subdivided graph")
+        g = subdivide(g, e)
+        w = g.n
+        carried: list[tuple[Rows, int]] = []
+        for rows, coeff in terms:
+            if tuple(sorted(rows[0])) == e:
+                carried += [(leaf, sgn * coeff) for sgn, leaf in _cascade_terms(rows, w)]
+            else:
+                carried.append((rows + ((w,),), coeff))
+        terms = carried
+    return _lift_onto(cert, g, terms, f"subdivision lift along {broken!r}")
 
 
 def lift_subgraph(
@@ -287,9 +300,8 @@ def lift_subgraph(
         if not host.has_edge(a, b):
             raise NotASubgraph(f"edge {(u, v)!r} maps to non-edge {(a, b)!r}")
 
-    source = _complex_of(cert)
     if host == g and all(emb[v] == v for v in range(1, g.n + 1)):
-        verdict = check_certificate(cert, source)
+        verdict = check_certificate(cert, _complex_of(cert))
         if not verdict.valid:
             raise LiftFailed(f"identity embedding: stored certificate fails {verdict}")
         return cert
@@ -297,21 +309,22 @@ def lift_subgraph(
     spare = sorted(set(range(1, host.n + 1)) - set(image))
     tau = {**emb, **dict(zip(range(g.n + 1, host.n + 1), spare))}
     boxes = tuple((t,) for t in range(g.n + 1, host.n + 1))
-    terms: list[tuple[Numbering, int]] = []
-    for col, coeff in enumerate(cert.h):
-        if coeff:
-            rows = source.basis1[col][2].rows + boxes
-            relabeled = tuple(tuple(tau[x] for x in r) for r in rows)
-            terms.append((Numbering(relabeled), coeff))
+    terms = [
+        (tuple(tuple(tau[x] for x in r) for r in rows + boxes), coeff)
+        for rows, coeff in _cycle_rows(cert)
+    ]
     return _lift_onto(cert, host, terms, "subgraph embedding")
 
 
 def certify_nonplanar(g: Graph) -> TorsionCertificate:
     """Build a verified order-2 torsion certificate for a non-planar graph.
 
-    Pipeline: Kuratowski witness, seed certificate, one subdivision lift per
-    path interior vertex, then the embedding into the input graph.  The
-    returned certificate carries the witness, the step trace, and the
+    Pipeline: Kuratowski witness, seed certificate, one subdivision lift
+    across every path interior vertex (skipped when there is none), then
+    the embedding into the input graph: at most two verified stages.  The
+    subdivision steps and their labels n+1, n+2, ... are worked out from the
+    witness before any lift.  The returned certificate carries the witness,
+    the step trace (one entry per subdivided vertex), and the
     internal-to-input vertex map.
 
     Raises PlanarInput when no witness exists.
@@ -331,8 +344,8 @@ def certify_nonplanar(g: Graph) -> TorsionCertificate:
     vertex_map = {
         seed_labels[pos]: user for pos, user in enumerate(witness.branch_vertices)
     }
-    cert = seed_certificate(seed)
     steps: list[LiftStep] = []
+    label = seed.graph.n
     for (pa, pb), path in zip(witness.model_edges(), witness.paths):
         a, b = seed_labels[pa], seed_labels[pb]
         interiors = list(path[1:-1])
@@ -341,20 +354,21 @@ def certify_nonplanar(g: Graph) -> TorsionCertificate:
             interiors.reverse()
         cur = a
         for user_vertex in interiors:
-            edge = (min(cur, b), max(cur, b))
-            cert = lift_subdivision(cert, edge)
-            new_label = cert.graph.n
-            vertex_map[new_label] = user_vertex
+            label += 1
+            vertex_map[label] = user_vertex
             steps.append(
                 LiftStep(
                     op="subdivide",
-                    edge=edge,
-                    new_vertex=new_label,
+                    edge=(min(cur, b), max(cur, b)),
+                    new_vertex=label,
                     user_vertex=user_vertex,
                 )
             )
-            cur = new_label
+            cur = label
 
+    cert = seed_certificate(seed)
+    if steps:
+        cert = lift_subdivision(cert, [step.edge for step in steps])
     embedding = dict(sorted(vertex_map.items()))
     steps.append(
         LiftStep(op="embed", embedding=tuple(sorted(embedding.items())))

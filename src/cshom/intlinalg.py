@@ -37,7 +37,6 @@ __all__ = [
     "check_certificate",
     "mat_mul",
     "mat_vec",
-    "determinant",
 ]
 
 Matrix = list[list[int]]
@@ -160,33 +159,6 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                 A[i, j] = int(m[i][j])
         S, U, V = _snf_arrays(A, guarded=False)
     return S.tolist(), U.tolist(), V.tolist()
-
-
-def determinant(m: Matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    r, c = _dims(m)
-    if r != c:
-        raise ValueError("determinant needs a square matrix")
-    if r == 0:
-        return 1
-    a = [[int(x) for x in row] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(r - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, r):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, r):
-            for j in range(k + 1, r):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[r - 1][r - 1]
 
 
 def kernel_basis(m: Matrix) -> list[list[int]]:

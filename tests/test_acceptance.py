@@ -33,15 +33,11 @@ from cshom.graphs import (
     petersen_graph,
     subdivide,
 )
-from cshom.intlinalg import (
-    determinant,
-    homology_group,
-    mat_mul,
-    smith_normal_form,
-)
+from cshom.intlinalg import homology_group, mat_mul, smith_normal_form
 from cshom.survey import generate_connected_graphs, run_survey, write_csv
 from cshom.tableaux import Partition
 from cshom.verify import run_battery
+from helpers import determinant
 
 
 def _lists(rows):

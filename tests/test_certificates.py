@@ -7,6 +7,9 @@ import pytest
 
 import cshom.certificates
 from cshom.certificates import (
+    _K33_SIDES,
+    LiftStep,
+    LiftTrace,
     _finish_lift,
     canonical_certificates,
     certificate_from_dict,
@@ -18,19 +21,22 @@ from cshom.certificates import (
     seed_certificate,
 )
 from cshom.complexes import build_restricted_complex, degree1_basis
-from cshom.errors import NotASubgraph, PlanarInput
+from cshom.errors import LiftFailed, NotASubgraph, PlanarInput
 from cshom.graphs import (
     Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    find_kuratowski_subdivision,
     is_planar,
     petersen_graph,
     subdivide,
+    to_graph6,
 )
 from cshom.intlinalg import TorsionCertificate, check_certificate, homology_group, mat_vec
 from cshom.survey import generate_connected_graphs
 from cshom.tableaux import Numbering, Partition, straighten
+from helpers import heawood_graph, k5_six_subdivided, subdivided
 
 
 def _homology_factors(cert):
@@ -58,26 +64,52 @@ def test_bipartite_seed_resolved_sides():
 @pytest.mark.parametrize("edge", [(1, 2), (1, 5), (3, 4)])
 def test_lift_subdivision_keeps_torsion(edge):
     seed5, _ = canonical_certificates()
-    cert = lift_subdivision(seed_certificate(seed5), edge)
+    cert = lift_subdivision(seed_certificate(seed5), [edge])
     assert cert.graph == subdivide(complete_graph(5), edge)
     assert recheck_certificate(cert).valid
     assert _homology_factors(cert) == (0, (2,))
 
 
-def test_lift_subdivision_iterates():
+def test_lift_subdivision_iterates(monkeypatch):
     seed5, _ = canonical_certificates()
-    cert = seed_certificate(seed5)
-    cert = lift_subdivision(cert, (1, 2))   # new vertex 6
-    cert = lift_subdivision(cert, (3, 4))   # new vertex 7
-    cert = lift_subdivision(cert, (1, 6))   # split a fresh edge again
-    assert cert.graph.n == 8
+    edges = [(1, 2), (3, 4), (1, 6)]  # new vertices 6, 7, then a fresh edge split
+    stepped = seed_certificate(seed5)
+    for edge in edges:
+        stepped = lift_subdivision(stepped, [edge])
+    builds = []
+    original = cshom.certificates.build_restricted_complex
+
+    def counting(graph, shape):
+        builds.append(graph)
+        return original(graph, shape)
+
+    monkeypatch.setattr(cshom.certificates, "build_restricted_complex", counting)
+    cert = lift_subdivision(seed_certificate(seed5), edges)
+    assert builds == [cert.graph]
+    assert cert.graph == stepped.graph and cert.graph.n == 8
+    assert cert.h == stepped.h
+    assert cert.witness_x == stepped.witness_x
     assert recheck_certificate(cert).valid
 
 
 def test_lift_subdivision_rejects_non_edge():
     seed5, _ = canonical_certificates()
+    cert = seed_certificate(seed5)
     with pytest.raises(ValueError):
-        lift_subdivision(seed_certificate(seed5), (1, 1))
+        lift_subdivision(cert, [(1, 1)])
+    # (1, 2) is broken by the first subdivision, so it is gone by the second
+    with pytest.raises(ValueError):
+        lift_subdivision(cert, [(1, 2), (1, 2)])
+    with pytest.raises(ValueError):
+        lift_subdivision(cert, [])
+
+
+def test_lift_subdivision_failure_names_the_edge_sequence(monkeypatch):
+    seed5, _ = canonical_certificates()
+    monkeypatch.setattr(cshom.certificates, "solve_integer", lambda m, b: None)
+    with pytest.raises(LiftFailed) as info:
+        lift_subdivision(seed_certificate(seed5), [(2, 1), (3, 4), (1, 6)])
+    assert "[(1, 2), (3, 4), (1, 6)]" in str(info.value)
 
 
 def test_lift_subgraph_identity():
@@ -240,6 +272,13 @@ def test_certify_nonplanar_end_to_end(g):
     assert sorted(cert.vertex_map.values()) == sorted(set(cert.vertex_map.values()))
 
 
+def _model_of(cert):
+    """The seed graph subdivided along the certificate's traced steps."""
+    seed5, seed33 = canonical_certificates()
+    model = (seed5 if cert.trace.kind == "K5" else seed33).graph
+    return subdivided(model, [s.edge for s in cert.trace.steps if s.op == "subdivide"])
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -247,8 +286,9 @@ def test_certify_nonplanar_end_to_end(g):
         petersen_graph(),
         complete_graph(5),
         complete_graph(6),
+        subdivided(complete_bipartite((1, 2, 3), (4, 5, 6))),
     ],
-    ids=["k5-subdivided-thrice", "petersen", "k5", "k6"],
+    ids=["k5-subdivided-thrice", "petersen", "k5", "k6", "k33-all-subdivided"],
 )
 def test_certify_builds_each_stage_once(g, monkeypatch):
     canonical_certificates()
@@ -264,12 +304,110 @@ def test_certify_builds_each_stage_once(g, monkeypatch):
     doc = certificate_to_dict(cert)
     assert doc["verdict"] == {"cycle": True, "doubled": True, "not_in_image": True}
     s = sum(1 for step in cert.trace.steps if step.op == "subdivide")
-    # one complex per subdivision and the host; the seed was verified once
-    # at set-up, and the identity embedding and the document reuse the
-    # complex the last stage verified on
-    assert len(builds) <= s + 1
+    # at most one complex for the whole subdivision chain and one for the
+    # host; the seed was verified once at set-up, and the identity
+    # embedding and the document reuse the complex the last stage verified on
+    assert len(builds) <= 2
     assert len(set(builds)) == len(builds)
+    assert sum(graph == _model_of(cert) for graph, _ in builds) == min(s, 1)
     assert ((g, cert.shape) in builds) == (g != complete_graph(5))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        complete_graph(5),
+        petersen_graph(),
+        subdivided(complete_graph(5)),
+        subdivided(complete_bipartite((1, 2, 3), (4, 5, 6))),
+    ],
+    ids=["k5", "petersen", "k5-all-subdivided", "k33-all-subdivided"],
+)
+def test_certify_lifts_the_subdivision_chain_at_most_once(g, monkeypatch):
+    calls = []
+    original = cshom.certificates.lift_subdivision
+
+    def recording(cert, edges):
+        calls.append(list(edges))
+        return original(cert, edges)
+
+    monkeypatch.setattr(cshom.certificates, "lift_subdivision", recording)
+    cert = certify_nonplanar(g)
+    edges = [step.edge for step in cert.trace.steps if step.op == "subdivide"]
+    assert calls == ([edges] if edges else [])
+
+
+def reference_certify(g):
+    """The step route: one verified subdivision lift per path interior
+    vertex, each on the complex of the graph subdivided so far, then the
+    embedding into g."""
+    witness = find_kuratowski_subdivision(g)
+    seed5, seed33 = canonical_certificates()
+    seed = seed5 if witness.kind == "K5" else seed33
+    if witness.kind == "K5":
+        seed_labels = list(range(1, 6))
+    else:
+        seed_labels = list(_K33_SIDES[0] + _K33_SIDES[1])
+    vertex_map = {
+        seed_labels[pos]: user for pos, user in enumerate(witness.branch_vertices)
+    }
+    cert = seed_certificate(seed)
+    steps = []
+    for (pa, pb), path in zip(witness.model_edges(), witness.paths):
+        a, b = seed_labels[pa], seed_labels[pb]
+        interiors = list(path[1:-1])
+        if a > b:
+            a, b = b, a
+            interiors.reverse()
+        cur = a
+        for user_vertex in interiors:
+            edge = (min(cur, b), max(cur, b))
+            cert = lift_subdivision(cert, [edge])
+            new_label = cert.graph.n
+            vertex_map[new_label] = user_vertex
+            steps.append(
+                LiftStep(
+                    op="subdivide", edge=edge, new_vertex=new_label,
+                    user_vertex=user_vertex,
+                )
+            )
+            cur = new_label
+    embedding = dict(sorted(vertex_map.items()))
+    steps.append(LiftStep(op="embed", embedding=tuple(sorted(embedding.items()))))
+    return dataclasses.replace(
+        lift_subgraph(cert, g, embedding),
+        trace=LiftTrace(kind=witness.kind, steps=tuple(steps)),
+        witness=witness,
+        vertex_map=embedding,
+    )
+
+
+_CHAIN_CORPUS = [
+    (f"census-{to_graph6(g)}", g)
+    for g in generate_connected_graphs(6)
+    if not is_planar(g)
+] + [
+    ("petersen", petersen_graph()),
+    ("k55", complete_bipartite((1, 2, 3, 4, 5), (6, 7, 8, 9, 10))),
+    ("heawood", heawood_graph()),
+    ("k5-sub6", k5_six_subdivided()),
+    ("k33-sub3", subdivided(
+        complete_bipartite((1, 2, 3), (4, 5, 6)), ((1, 4), (2, 5), (3, 6))
+    )),
+    ("k5-all-subdivided", subdivided(complete_graph(5))),
+    ("k33-all-subdivided", subdivided(complete_bipartite((1, 2, 3), (4, 5, 6)))),
+]
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in _CHAIN_CORPUS], ids=[name for name, _ in _CHAIN_CORPUS]
+)
+def test_certify_matches_the_step_route(g):
+    got = certify_nonplanar(g)
+    want = reference_certify(g)
+    assert got.h == want.h
+    assert got.witness_x == want.witness_x
+    assert certificate_to_dict(got) == certificate_to_dict(want)
 
 
 def test_certify_shares_the_cached_seed_unchanged():

@@ -7,11 +7,10 @@ import pytest
 from cshom.certificates import certify_nonplanar
 from cshom.complexes import build_restricted_complex
 from cshom.errors import ComplexNotExact
-from cshom.graphs import Graph, complete_bipartite, complete_graph, petersen_graph, subdivide
+from cshom.graphs import complete_bipartite, complete_graph, petersen_graph
 from cshom.intlinalg import (
     HomologyResult,
     _unit_pivot_reduce,
-    determinant,
     homology_group,
     kernel_basis,
     mat_mul,
@@ -20,6 +19,7 @@ from cshom.intlinalg import (
     solve_integer,
 )
 from cshom.tableaux import Partition
+from helpers import determinant, heawood_graph, k5_six_subdivided
 
 
 def _matrix_suite():
@@ -337,24 +337,11 @@ def test_solve_integer_zero_rows_and_no_columns():
         solve_integer([[1, 0]], [1, 2])
 
 
-def _heawood():
-    edges = [(i + 1, (i + 1) % 14 + 1) for i in range(14)]
-    edges += [(i + 1, (i + 5) % 14 + 1) for i in range(0, 14, 2)]
-    return Graph.from_edges(14, edges)
-
-
-def _k5_six_subdivided():
-    g = complete_graph(5)
-    for e in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 4)):
-        g = subdivide(g, e)
-    return g
-
-
 _CERTIFIED = {
     "petersen": petersen_graph,
     "K5,5": lambda: complete_bipartite(range(1, 6), range(6, 11)),
-    "heawood": _heawood,
-    "K5-sub6": _k5_six_subdivided,
+    "heawood": heawood_graph,
+    "K5-sub6": k5_six_subdivided,
 }
 
 

@@ -26,13 +26,8 @@ from cshom.tableaux import (
     standardize,
     straighten,
 )
-from cshom.graphs import (
-    Graph,
-    complete_bipartite,
-    complete_graph,
-    petersen_graph,
-    subdivide,
-)
+from cshom.graphs import complete_bipartite, complete_graph, petersen_graph
+from helpers import heawood_graph, k5_six_subdivided
 
 
 def test_partition_validation():
@@ -334,19 +329,6 @@ def reference_straighten(v, basis, frozen_rows=0):
     return out
 
 
-def _heawood():
-    edges = [(i + 1, (i + 1) % 14 + 1) for i in range(14)]
-    edges += [(i + 1, (i + 5) % 14 + 1) for i in range(0, 14, 2)]
-    return Graph.from_edges(14, edges)
-
-
-def _k5_six_subdivided():
-    g = complete_graph(5)
-    for e in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 4)):
-        g = subdivide(g, e)
-    return g
-
-
 def test_straighten_matches_reference_on_every_pipeline_call(monkeypatch):
     calls = []
     mismatches = []
@@ -367,7 +349,7 @@ def test_straighten_matches_reference_on_every_pipeline_call(monkeypatch):
     builds += [(complete_graph(10), 2)]
     for g, k in builds:
         build_restricted_complex(g, Partition.two_column(g.n, k))
-    for g in (petersen_graph(), _heawood(), _k5_six_subdivided()):
+    for g in (petersen_graph(), heawood_graph(), k5_six_subdivided()):
         certify_nonplanar(g)
     assert mismatches == []
     assert set(calls) == {0, 1}
