@@ -6,7 +6,10 @@ numberings (degree 0); one block of standardized fillings per edge (degree
 Differential columns are computed by straightening the block generators
 into the target bases, with the sign convention: removing the
 lexicographically smaller edge of a pair keeps the larger one and carries
-+1, removing the larger carries -1.
++1, removing the larger carries -1.  A pair generator's filling is the two
+edges followed by its pattern on the remaining vertices, built directly;
+its two block parts come from one straightening per order type, and the
+composite d1 d2 is checked zero by a sparse exact product.
 """
 
 from __future__ import annotations
@@ -119,6 +122,15 @@ def build_restricted_complex(g: Graph, shape: Partition) -> RestrictedComplex:
     Requires a canonical (sorted, loop-free) graph and a two-column shape
     with k >= 1 length-2 rows summing to n.  With k = 1 the degree-2 group
     is empty by definition, so d2 has no columns.
+
+    The block parts of d2 are straightened once per order type.  With the
+    top row e frozen, straightening only compares entries below it, so the
+    coefficients of a filling (e, f, rest) over e's block are unchanged by
+    the order-preserving relabeling of V minus e onto 1..n-2, which maps e's
+    block onto the same ordered list of standard fillings.  They depend
+    only on the ranks of f's endpoints in V minus e and the pattern index,
+    and one table keyed by those, local to this call, serves both the
+    removed-edge and the kept-edge side of every pair.
     """
     basis1 = degree1_basis(g, shape)
     k = shape.two_column_rows()
@@ -131,34 +143,32 @@ def build_restricted_complex(g: Graph, shape: Partition) -> RestrictedComplex:
     d1 = tuple(zip(*d1_cols)) if d1_cols else ((),) * len(basis0)
 
     basis2: list[tuple[tuple[int, int], int, Numbering]] = []
-    d2_cols: list[list[int]] = []
+    d2_rows: list[list[int]] = [[] for _ in basis1]
     if k >= 2:
         noncons, _ = edge_pairs_by_type(g)
         nu = Partition((2, 2) + (1,) * (n - 4))
         w_patterns = enumerate_ssyt(shape, nu)
+        d2_rows = [[0] * (len(noncons) * len(w_patterns)) for _ in basis1]
+        table: dict[tuple[tuple[int, ...], int], list[int]] = {}
         for i0, j0 in noncons:
             ei, ej = g.edges[i0], g.edges[j0]
-            block_i = fillings1[i0 * kcopies : (i0 + 1) * kcopies]
-            block_j = fillings1[j0 * kcopies : (j0 + 1) * kcopies]
-            t_f = numbering_of_subgraph(g, (ei, ej))
+            # row 2 of every pattern is (2, 2); values 3.. are the singletons
+            singles = [v for v in range(1, n + 1) if v not in ei and v not in ej]
             for l, pat in enumerate(w_patterns, start=1):
-                w = standardize(pat, t_f)
-                if w.rows[0] != ei or w.rows[1] != ej:
-                    raise AssertionError(
-                        f"pair filling {w.rows!r} does not start with {ei!r}, {ej!r}"
-                    )
-                basis2.append(((i0 + 1, j0 + 1), l, w))
-                col = [0] * len(basis1)
-                kept_j = Numbering((w.rows[1], w.rows[0]) + w.rows[2:])
-                for s, v in enumerate(straighten(kept_j, block_j, frozen_rows=1)):
-                    col[j0 * kcopies + s] = v
-                for s, v in enumerate(straighten(w, block_i, frozen_rows=1)):
-                    col[i0 * kcopies + s] = -v
-                d2_cols.append(col)
+                rest = tuple(tuple(singles[v - 3] for v in row) for row in pat[2:])
+                col = len(basis2)
+                basis2.append(((i0 + 1, j0 + 1), l, Numbering((ei, ej) + rest)))
+                for top, f, b0, sign in ((ej, ei, j0, 1), (ei, ej, i0, -1)):
+                    key = (tuple(v - 1 - (v > top[0]) - (v > top[1]) for v in f), l)
+                    if key not in table:
+                        block = fillings1[b0 * kcopies : (b0 + 1) * kcopies]
+                        w = Numbering((top, f) + rest)
+                        table[key] = straighten(w, block, frozen_rows=1)
+                    for s, v in enumerate(table[key]):
+                        d2_rows[b0 * kcopies + s][col] = sign * v
+    d2 = tuple(map(tuple, d2_rows))
 
-    d2 = tuple(zip(*d2_cols)) if d2_cols else ((),) * len(basis1)
-
-    if d2_cols:
+    if basis2:
         prod = mat_mul(d1, d2)
         if any(x for row in prod for x in row):
             raise ComplexNotExact(

@@ -3,15 +3,16 @@ kernels and solves, homology of a two-step integer complex, and torsion
 certificate checking.
 
 Matrices cross the API as lists of rows of Python ints, so results are exact
-no matter the size.  Internally SNF elimination runs on numpy int64 for speed
-with a magnitude guard; when entries approach the guard the computation
-restarts on an object-dtype array (Python ints, still vectorized, still
-exact).  Homology and integer solves share one sparse elimination of unit
-pivots on a Python-int copy of the matrix, so the SNF sees only the
-residual: homology reads its invariants off the residual's SNF, and a solve
-carries the right-hand side through the same row operations, solves the
-residual system through its SNF transforms and back-substitutes the pivot
-rows.
+no matter the size.  Products (mat_mul, mat_vec) run over nonzeros in
+Python ints.  numpy appears only in the SNF: its elimination runs on int64
+for speed with a magnitude guard; when entries approach the guard the
+computation restarts on an object-dtype array (Python ints, still
+vectorized, still exact).  Homology and integer solves share one sparse
+elimination of unit pivots on a Python-int copy of the matrix, so the SNF
+sees only the residual: homology reads its invariants off the residual's
+SNF, and a solve carries the right-hand side through the same row
+operations, solves the residual system through its SNF transforms and
+back-substitutes the pivot rows.
 """
 
 from __future__ import annotations
@@ -182,41 +183,34 @@ def kernel_basis(m: Matrix) -> list[list[int]]:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product with plain-int results.  Operands are row lists
-    or row tuples of ints; the product runs on int64 when every entry fits
-    and max|a| max|b| cols < 2^62, else on object dtype."""
+    """Exact matrix product in Python ints.  Operands are row lists or row
+    tuples of ints (numpy integers included).  Each row of b is indexed by
+    its nonzeros once, and every row of the product accumulates over the
+    nonzeros of a's row, so the cost follows the nonzero counts, not the
+    dense size, and no entry can overflow."""
     ra, ca = _dims(a)
     rb, cb = _dims(b)
     if ca != rb:
         raise ValueError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    if cb == 0:
-        return [[] for _ in range(ra)]
-    if ca == 0:
-        return [[0] * cb for _ in range(ra)]
-    try:
-        na = np.array(a, dtype=np.int64)
-        nb = np.array(b, dtype=np.int64)
-    except OverflowError:
-        pass
-    else:
-        ma = max(-int(na.min()), int(na.max()))
-        mb = max(-int(nb.min()), int(nb.max()))
-        if ma * mb * ca < (1 << 62):
-            return (na @ nb).tolist()
-    aa = np.empty((ra, ca), dtype=object)
-    for i in range(ra):
-        aa[i, :] = a[i]
-    bb = np.empty((rb, cb), dtype=object)
-    for i in range(rb):
-        bb[i, :] = b[i]
-    return (aa @ bb).tolist()
+    b_rows = [[(j, int(row[j])) for j in compress(range(cb), row)] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * cb
+        for k in compress(range(ca), row):
+            x = int(row[k])
+            for j, y in b_rows[k]:
+                acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:
+    """Exact product m v in Python ints, summed over the nonzeros of v."""
     r, c = _dims(m)
     if len(v) != c:
         raise ValueError(f"vector length {len(v)} != {c} columns")
-    return [sum(row[j] * v[j] for j in range(c)) for row in m]
+    nz = [(j, int(v[j])) for j in compress(range(c), v)]
+    return [sum(int(row[j]) * x for j, x in nz) for row in m]
 
 
 @dataclass(frozen=True)

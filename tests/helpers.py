@@ -1,7 +1,31 @@
 """Test helpers shared by several test modules: an exact determinant, used
-only to judge the Smith normal form, and graphs that recur across suites."""
+only to judge the Smith normal form, graphs that recur across suites, and
+the per-column complex build that judges build_restricted_complex."""
 
-from cshom.graphs import Graph, complete_graph, subdivide
+import random
+
+from cshom.complexes import RestrictedComplex, degree1_basis
+from cshom.errors import ComplexNotExact
+from cshom.graphs import (
+    Graph,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    edge_pairs_by_type,
+    path_graph,
+    subdivide,
+)
+from cshom.intlinalg import mat_mul
+from cshom.survey import generate_connected_graphs
+from cshom.tableaux import (
+    Numbering,
+    Partition,
+    enumerate_ssyt,
+    enumerate_syt,
+    numbering_of_subgraph,
+    standardize,
+    straighten,
+)
 
 
 def determinant(m):
@@ -48,4 +72,115 @@ def subdivided(g, edges=None):
 def k5_six_subdivided():
     return subdivided(
         complete_graph(5), ((1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 4))
+    )
+
+
+def _ten_fixed_order6_graphs():
+    star = Graph.from_edges(6, [(1, i) for i in range(2, 7)])
+    prism = Graph.from_edges(
+        6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)]
+    )
+    wheel = Graph.from_edges(
+        6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)] + [(i, 6) for i in range(1, 6)]
+    )
+    k6_minus = Graph.from_edges(
+        6, [e for e in complete_graph(6).edges if e != (1, 2)]
+    )
+    double_star = Graph.from_edges(6, [(1, 2), (1, 3), (1, 4), (4, 5), (4, 6)])
+    return [
+        path_graph(6),
+        cycle_graph(6),
+        star,
+        double_star,
+        prism,
+        wheel,
+        complete_bipartite((1, 2, 3), (4, 5, 6)),
+        complete_bipartite((1, 3, 5), (2, 4, 6)),
+        k6_minus,
+        complete_graph(6),
+    ]
+
+
+def criterion3_graphs():
+    """The oracle-equality corpus: connected graphs on 4 or 5 vertices plus
+    ten fixed graphs of order 6."""
+    return [g for g in generate_connected_graphs(5) if g.n >= 4] + (
+        _ten_fixed_order6_graphs()
+    )
+
+
+def criterion4_graphs():
+    """The exactness corpus: connected graphs on at most 6 vertices plus 100
+    seeded random graphs of order 4 to 8."""
+    graphs = list(generate_connected_graphs(6))
+    rng = random.Random(20260816)
+    for _ in range(100):
+        n = rng.randint(4, 8)
+        edges = [
+            (u, v)
+            for u in range(1, n + 1)
+            for v in range(u + 1, n + 1)
+            if rng.random() < 0.5
+        ]
+        graphs.append(Graph.from_edges(n, edges))
+    return graphs
+
+
+def reference_build_restricted_complex(g, shape):
+    """The per-column build that build_restricted_complex replaced, kept as
+    its oracle: every pair filling standardized on its own and both block
+    parts of every d2 column straightened afresh."""
+    basis1 = degree1_basis(g, shape)
+    k = shape.two_column_rows()
+    basis0 = enumerate_syt(shape)
+    n = g.n
+    fillings1 = [x for _, _, x in basis1]
+    kcopies = len(basis1) // g.m if g.m else 0
+
+    d1_cols = [straighten(x, basis0) for x in fillings1]
+    d1 = tuple(zip(*d1_cols)) if d1_cols else ((),) * len(basis0)
+
+    basis2 = []
+    d2_cols = []
+    if k >= 2:
+        noncons, _ = edge_pairs_by_type(g)
+        nu = Partition((2, 2) + (1,) * (n - 4))
+        w_patterns = enumerate_ssyt(shape, nu)
+        for i0, j0 in noncons:
+            ei, ej = g.edges[i0], g.edges[j0]
+            block_i = fillings1[i0 * kcopies : (i0 + 1) * kcopies]
+            block_j = fillings1[j0 * kcopies : (j0 + 1) * kcopies]
+            t_f = numbering_of_subgraph(g, (ei, ej))
+            for l, pat in enumerate(w_patterns, start=1):
+                w = standardize(pat, t_f)
+                if w.rows[0] != ei or w.rows[1] != ej:
+                    raise AssertionError(
+                        f"pair filling {w.rows!r} does not start with {ei!r}, {ej!r}"
+                    )
+                basis2.append(((i0 + 1, j0 + 1), l, w))
+                col = [0] * len(basis1)
+                kept_j = Numbering((w.rows[1], w.rows[0]) + w.rows[2:])
+                for s, v in enumerate(straighten(kept_j, block_j, frozen_rows=1)):
+                    col[j0 * kcopies + s] = v
+                for s, v in enumerate(straighten(w, block_i, frozen_rows=1)):
+                    col[i0 * kcopies + s] = -v
+                d2_cols.append(col)
+
+    d2 = tuple(zip(*d2_cols)) if d2_cols else ((),) * len(basis1)
+
+    if d2_cols:
+        prod = mat_mul(d1, d2)
+        if any(x for row in prod for x in row):
+            raise ComplexNotExact(
+                f"d1 d2 != 0 for graph {g.edges!r} at shape {shape.parts!r}"
+            )
+
+    return RestrictedComplex(
+        graph=g,
+        shape=shape,
+        basis0=basis0,
+        basis1=basis1,
+        basis2=tuple(basis2),
+        d1=d1,
+        d2=d2,
     )

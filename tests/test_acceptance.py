@@ -28,8 +28,6 @@ from cshom.graphs import (
     Graph,
     complete_bipartite,
     complete_graph,
-    cycle_graph,
-    path_graph,
     petersen_graph,
     subdivide,
 )
@@ -37,7 +35,7 @@ from cshom.intlinalg import homology_group, mat_mul, smith_normal_form
 from cshom.survey import generate_connected_graphs, run_survey, write_csv
 from cshom.tableaux import Partition
 from cshom.verify import run_battery
-from helpers import determinant
+from helpers import criterion3_graphs, criterion4_graphs, determinant
 
 
 def _lists(rows):
@@ -81,37 +79,10 @@ def test_criterion2_pinned_certificates_and_torsion_under_30s_each():
           "complexes show an order-2 factor")
 
 
-def _ten_fixed_order6_graphs():
-    star = Graph.from_edges(6, [(1, i) for i in range(2, 7)])
-    prism = Graph.from_edges(
-        6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)]
-    )
-    wheel = Graph.from_edges(
-        6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)] + [(i, 6) for i in range(1, 6)]
-    )
-    k6_minus = Graph.from_edges(
-        6, [e for e in complete_graph(6).edges if e != (1, 2)]
-    )
-    double_star = Graph.from_edges(6, [(1, 2), (1, 3), (1, 4), (4, 5), (4, 6)])
-    return [
-        path_graph(6),
-        cycle_graph(6),
-        star,
-        double_star,
-        prism,
-        wheel,
-        complete_bipartite((1, 2, 3), (4, 5, 6)),
-        complete_bipartite((1, 3, 5), (2, 4, 6)),
-        k6_minus,
-        complete_graph(6),
-    ]
-
-
 def test_criterion3_oracle_equality_under_600s():
     t0 = time.perf_counter()
-    cases = [g for g in generate_connected_graphs(5) if g.n >= 4]
-    assert len(cases) == 27
-    cases += _ten_fixed_order6_graphs()
+    cases = criterion3_graphs()
+    assert len(cases) == 37
     for g in cases:
         shape = Partition.two_column(g.n, 2)
         c = build_restricted_complex(g, shape)
@@ -127,17 +98,7 @@ def test_criterion3_oracle_equality_under_600s():
 def test_criterion4_differentials_compose_to_zero():
     t0 = time.perf_counter()
     checked = 0
-    graphs = list(generate_connected_graphs(6))
-    rng = random.Random(20260816)
-    for _ in range(100):
-        n = rng.randint(4, 8)
-        edges = [
-            (u, v)
-            for u in range(1, n + 1)
-            for v in range(u + 1, n + 1)
-            if rng.random() < 0.5
-        ]
-        graphs.append(Graph.from_edges(n, edges))
+    graphs = criterion4_graphs()
     for g in graphs:
         for k in (2, 3):
             if 2 * k > g.n:

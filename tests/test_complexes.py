@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import cshom.complexes
 from cshom.complexes import build_restricted_complex
 from cshom.groupalg import oracle_restricted_matrices
 from cshom.graphs import (
@@ -10,9 +11,16 @@ from cshom.graphs import (
     complete_graph,
     cycle_graph,
     path_graph,
+    petersen_graph,
 )
 from cshom.intlinalg import homology_group, mat_mul
-from cshom.tableaux import Partition
+from cshom.tableaux import Partition, standardize, straighten
+from helpers import (
+    criterion3_graphs,
+    criterion4_graphs,
+    heawood_graph,
+    reference_build_restricted_complex,
+)
 
 
 def _as_lists(rows):
@@ -138,3 +146,97 @@ def test_non_canonical_graph_rejected():
     bad = Graph(3, ((2, 1), (1, 3)))
     with pytest.raises(ValueError):
         build_restricted_complex(bad, Partition((2, 1)))
+
+
+def _assert_matches_reference(g, shape):
+    got = build_restricted_complex(g, shape)
+    want = reference_build_restricted_complex(g, shape)
+    assert got.basis0 == want.basis0
+    assert got.basis1 == want.basis1
+    assert got.basis2 == want.basis2
+    assert got.d1 == want.d1
+    assert got.d2 == want.d2
+    assert all(type(x) is int for row in got.d2 for x in row)
+
+
+# the benchmark's homology inputs
+_BENCH_HOMOLOGY = [(petersen_graph, k) for k in (2, 3, 4, 5)]
+_BENCH_HOMOLOGY += [(lambda: complete_graph(8), k) for k in (2, 3, 4)]
+_BENCH_HOMOLOGY += [(lambda: complete_bipartite(range(1, 6), range(6, 11)), 2)]
+_BENCH_HOMOLOGY += [(lambda: complete_graph(10), 2)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_build_matches_reference_on_relabeled_bench_inputs(seed):
+    rng = random.Random(seed)
+    for make, k in _BENCH_HOMOLOGY:
+        g = make()
+        perm = list(range(1, g.n + 1))
+        rng.shuffle(perm)
+        g = g.relabel(dict(zip(range(1, g.n + 1), perm)))
+        _assert_matches_reference(g, Partition.two_column(g.n, k))
+
+
+def test_build_matches_reference_on_criterion3_corpus():
+    for g in criterion3_graphs():
+        _assert_matches_reference(g, Partition.two_column(g.n, 2))
+
+
+def test_build_matches_reference_on_criterion4_corpus():
+    for g in criterion4_graphs():
+        for k in (2, 3):
+            if 2 * k <= g.n:
+                _assert_matches_reference(g, Partition.two_column(g.n, k))
+
+
+def test_build_matches_reference_on_random_graphs_at_every_shape():
+    rng = random.Random(77)
+    for n in range(5, 10):
+        for _ in range(3):
+            edges = [
+                (u, v)
+                for u in range(1, n + 1)
+                for v in range(u + 1, n + 1)
+                if rng.random() < 0.5
+            ]
+            g = Graph.from_edges(n, edges)
+            if not g.m:
+                continue
+            for k in range(1, n // 2 + 1):
+                _assert_matches_reference(g, Partition.two_column(n, k))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_build_matches_reference_on_heawood(k):
+    _assert_matches_reference(heawood_graph(), Partition.two_column(14, k))
+
+
+def _count_build_calls(monkeypatch, g, k):
+    frozen = []
+    standardized = []
+
+    def counting_straighten(v, basis, frozen_rows=0):
+        frozen.append(frozen_rows)
+        return straighten(v, basis, frozen_rows)
+
+    def counting_standardize(filling, target):
+        standardized.append(target)
+        return standardize(filling, target)
+
+    monkeypatch.setattr(cshom.complexes, "straighten", counting_straighten)
+    monkeypatch.setattr(cshom.complexes, "standardize", counting_standardize)
+    c = build_restricted_complex(g, Partition.two_column(g.n, k))
+    return c, frozen.count(1), len(standardized)
+
+
+def test_d2_straightens_each_order_type_once(monkeypatch):
+    # with one pattern, the order types of K10 at k = 2 are the C(8, 2) rank
+    # pairs of the second edge inside the other eight vertices
+    c, d2_calls, std_calls = _count_build_calls(monkeypatch, complete_graph(10), 2)
+    assert len(c.basis2) == 630
+    assert d2_calls == 28
+    assert std_calls == len(c.basis1)
+    c, d2_calls, std_calls = _count_build_calls(monkeypatch, petersen_graph(), 4)
+    assert len(c.basis2) == 675
+    assert d2_calls <= 28 * 9
+    assert std_calls == len(c.basis1)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cshom.certificates import certify_nonplanar
@@ -231,6 +232,49 @@ def test_mat_mul_matches_reference_at_the_int64_boundary(a, b):
     got = mat_mul(a, b)
     assert got == _reference_product(a, b)
     assert all(type(x) is int for row in got for x in row)
+
+
+def _reference_mat_vec(a, v):
+    return [row[0] for row in _reference_product(a, [[x] for x in v])]
+
+
+@pytest.mark.parametrize("density", [0.05, 0.3, 1.0])
+def test_mat_mul_and_mat_vec_match_reference_on_random_matrices(density):
+    rng = random.Random(int(density * 100))
+    for _ in range(40):
+        r, inner, c = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 7)
+
+        def fill(rows, cols):
+            return [
+                [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+
+        a, b = fill(r, inner), fill(inner, c)
+        v = fill(1, inner)[0]
+        assert mat_mul(a, b) == _reference_product(a, b)
+        assert mat_vec(a, v) == _reference_mat_vec(a, v)
+
+
+def test_mat_mul_and_mat_vec_are_exact_on_int64_operands_past_2_63():
+    a = np.array([[2**62, -3, 0], [5, 2**40, -(2**61)]], dtype=np.int64)
+    b = np.array([[4, 1], [2**62, 7], [0, -(2**62)]], dtype=np.int64)
+    v = np.array([2**62, -(2**62), 3], dtype=np.int64)
+    a_int = [[int(x) for x in row] for row in a]
+    b_int = [[int(x) for x in row] for row in b]
+    v_int = [int(x) for x in v]
+    want = _reference_product(a_int, b_int)
+    assert any(abs(x) >= 2**63 for row in want for x in row)
+    for aa, bb in ((a, b), (list(a), list(b)), (a.tolist(), b)):
+        got = mat_mul(aa, bb)
+        assert got == want
+        assert all(type(x) is int for row in got for x in row)
+    want_v = _reference_mat_vec(a_int, v_int)
+    assert any(abs(x) >= 2**63 for x in want_v)
+    for aa, vv in ((a, v), (list(a), list(v)), (a_int, v)):
+        got = mat_vec(aa, vv)
+        assert got == want_v
+        assert all(type(x) is int for x in got)
 
 
 def test_homology_group_rejects_composites_past_int64():

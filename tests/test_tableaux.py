@@ -353,7 +353,10 @@ def test_straighten_matches_reference_on_every_pipeline_call(monkeypatch):
         certify_nonplanar(g)
     assert mismatches == []
     assert set(calls) == {0, 1}
-    assert len(calls) > 10_000
+    # a build straightens each d2 order type once, so repeated d2 columns
+    # are no longer counted here; the build oracle in test_complexes covers
+    # the columns filled from the table
+    assert len(calls) > 3_000
 
 
 @functools.cache
