@@ -4,12 +4,13 @@ For shape (2^k, 1^(n-2k)) the three chain groups are spanned by: standard
 numberings (degree 0); one block of standardized fillings per edge (degree
 1, K copies each); one block per non-consecutive edge pair (degree 2).
 Differential columns are computed by straightening the block generators
-into the target bases, with the sign convention: removing the
-lexicographically smaller edge of a pair keeps the larger one and carries
-+1, removing the larger carries -1.  A pair generator's filling is the two
-edges followed by its pattern on the remaining vertices, built directly;
-its two block parts come from one straightening per order type, and the
-composite d1 d2 is checked zero by a sparse exact product.
+into the target bases, all d1 columns in one call with a shared memo, with
+the sign convention: removing the lexicographically smaller edge of a pair
+keeps the larger one and carries +1, removing the larger carries -1.  A
+pair generator's filling is the two edges followed by its pattern on the
+remaining vertices, built directly; its two block parts come from one
+straightening per order type, and the composite d1 d2 is checked zero by a
+sparse exact product.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .tableaux import (
     Partition,
     enumerate_ssyt,
     enumerate_syt,
-    numbering_of_subgraph,
     standardize,
     straighten,
+    straighten_columns,
 )
 
 __all__ = ["RestrictedComplex", "build_restricted_complex"]
@@ -91,6 +92,12 @@ def degree1_basis(
     with k >= 1 length-2 rows summing to n.  Each edge contributes one
     block of K standardized fillings whose top row is the edge, standard
     below it and listed in ascending order.
+
+    The patterns are standardized once, into a template with top row
+    (1, 2) and singletons 3..n, and the checks run on the template.  Edge
+    (a, b) relabels it by 1 -> a, 2 -> b and the order-preserving map of
+    3..n onto V minus {a, b}: entries below the top row keep their order,
+    so every block keeps the checked properties.
     """
     g.assert_canonical()
     if shape.n != g.n:
@@ -100,19 +107,22 @@ def degree1_basis(
         raise ValueError(f"shape {shape.parts!r} is not (2^k, 1^*) with k >= 1")
 
     mu = Partition((2,) + (1,) * (g.n - 2))
-    patterns = enumerate_ssyt(shape, mu)
+    t0 = Numbering(((1, 2),) + tuple((v,) for v in range(3, g.n + 1)))
+    template = [standardize(z, t0) for z in enumerate_ssyt(shape, mu)]
+    for x in template:
+        if x.rows[0] != (1, 2):
+            raise AssertionError(f"filling {x.rows!r} does not start with (1, 2)")
+        if not _standard_below(x, 1):
+            raise AssertionError(f"filling {x.rows!r} is not standard below the edge")
+    if sorted(template, key=Numbering.key) != template:
+        raise AssertionError("edge block must be listed in ascending order")
     basis1: list[tuple[int, int, Numbering]] = []
-    for i, e in enumerate(g.edges, start=1):
-        t_e = numbering_of_subgraph(g, (e,))
-        block = [standardize(z, t_e) for z in patterns]
-        for x in block:
-            if x.rows[0] != e:
-                raise AssertionError(f"filling {x.rows!r} does not start with {e!r}")
-            if not _standard_below(x, 1):
-                raise AssertionError(f"filling {x.rows!r} is not standard below the edge")
-        if [x.rows for x in sorted(block, key=Numbering.key)] != [x.rows for x in block]:
-            raise AssertionError("edge block must be listed in ascending order")
-        basis1.extend((i, j, x) for j, x in enumerate(block, start=1))
+    for i, (a, b) in enumerate(g.edges, start=1):
+        label = (0, a, b) + tuple(v for v in range(1, g.n + 1) if v != a and v != b)
+        basis1.extend(
+            (i, j, Numbering(tuple(tuple(label[v] for v in row) for row in x.rows)))
+            for j, x in enumerate(template, start=1)
+        )
     return tuple(basis1)
 
 
@@ -139,7 +149,7 @@ def build_restricted_complex(g: Graph, shape: Partition) -> RestrictedComplex:
     fillings1 = [x for _, _, x in basis1]
     kcopies = len(basis1) // g.m if g.m else 0
 
-    d1_cols = [straighten(x, basis0) for x in fillings1]
+    d1_cols = straighten_columns(fillings1, basis0)
     d1 = tuple(zip(*d1_cols)) if d1_cols else ((),) * len(basis0)
 
     basis2: list[tuple[tuple[int, int], int, Numbering]] = []

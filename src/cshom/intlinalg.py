@@ -7,12 +7,13 @@ no matter the size.  Products (mat_mul, mat_vec) run over nonzeros in
 Python ints.  numpy appears only in the SNF: its elimination runs on int64
 for speed with a magnitude guard; when entries approach the guard the
 computation restarts on an object-dtype array (Python ints, still
-vectorized, still exact).  Homology and integer solves share one sparse
-elimination of unit pivots on a Python-int copy of the matrix, so the SNF
-sees only the residual: homology reads its invariants off the residual's
-SNF, and a solve carries the right-hand side through the same row
-operations, solves the residual system through its SNF transforms and
-back-substitutes the pivot rows.
+vectorized, still exact).  Kernels, homology and integer solves share one
+sparse elimination of unit pivots on a Python-int copy of the matrix, so
+the SNF sees only the residual: a kernel basis takes the residual's kernel
+from its SNF and back-substitutes the pivot columns, homology reads its
+invariants off the residual's SNF, and a solve carries the right-hand side
+through the same row operations, solves the residual system through its
+SNF transforms and back-substitutes the pivot rows.
 """
 
 from __future__ import annotations
@@ -165,18 +166,55 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 def kernel_basis(m: Matrix) -> list[list[int]]:
     """Basis of the integer kernel lattice of m, as a list of columns.
 
-    The returned columns generate the full kernel lattice (the unimodular V
-    of the SNF makes the sublattice saturated).  Each column's first nonzero
-    entry is positive for deterministic output.
+    Route: the +-1 pivots are eliminated from a sparse copy of m (row
+    operations keep the kernel).  Every column that is neither a pivot nor
+    a residual column is free and gives a unit generator, listed first in
+    column order; the kernel columns of the residual's SNF V follow.  The
+    pivot coordinates are then fixed by back-substitution in reverse
+    elimination order, composed once into a map from the non-pivot
+    columns.  Projecting the kernel onto the non-pivot coordinates is a
+    bijection onto Z^free (+) ker(residual), and V is unimodular, so the
+    columns generate the full, saturated kernel lattice.  Each column's
+    first nonzero entry is positive for deterministic output.
     """
-    r, c = _dims(m)
-    S, U, V = smith_normal_form(m)
-    rank = sum(1 for i in range(min(r, c)) if S[i][i])
+    _, c = _dims(m)
+    pivots, rows = _eliminate(m)
+    _, live, residual = _residual(rows)
+    bound = {j for _, j, _ in pivots}.union(live)
+    gens: list[dict[int, int]] = [{j: 1} for j in range(c) if j not in bound]
+    if residual:
+        S, _, V = smith_normal_form(residual)
+        rank = sum(1 for i in range(min(len(residual), len(live))) if S[i][i])
+        for t in range(rank, len(live)):
+            gens.append({j: vrow[t] for j, vrow in zip(live, V) if vrow[t]})
+    # x[j] = -p * (sum of the frozen pivot row's other entries times x):
+    # those are later pivots, already composed, or non-pivot columns
+    via: dict[int, dict[int, int]] = {}
+    for _, j, row in reversed(pivots):
+        p = row[j]
+        acc: dict[int, int] = {}
+        for jj, v in row.items():
+            if jj == j:
+                continue
+            expr = via.get(jj)
+            if expr is None:
+                acc[jj] = acc.get(jj, 0) - p * v
+                continue
+            for t, w in expr.items():
+                acc[t] = acc.get(t, 0) - p * v * w
+        via[j] = {t: w for t, w in acc.items() if w}
+    uses: dict[int, list[tuple[int, int]]] = {}
+    for j, expr in via.items():
+        for t, w in expr.items():
+            uses.setdefault(t, []).append((j, w))
     out = []
-    for j in range(rank, c):
-        col = [V[i][j] for i in range(c)]
-        lead = next((x for x in col if x), 0)
-        if lead < 0:
+    for gen in gens:
+        col = [0] * c
+        for t, g in gen.items():
+            col[t] = g
+            for j, w in uses.get(t, ()):
+                col[j] += w * g
+        if next(x for x in col if x) < 0:
             col = [-x for x in col]
         out.append(col)
     return out
@@ -391,9 +429,11 @@ def homology_group(d1: Matrix, d2: Matrix) -> HomologyResult:
 
     C1 / ker d1 embeds in the free group C0, so ker d1 is a direct summand
     of C1 and the torsion of H1 = ker d1 / im d2 is the torsion of
-    coker d2.  Route: the kernel rank of d1, then +-1 pivots eliminated
-    from a sparse copy of d2 (unimodular steps, so SNF(d2) = I_p (+)
-    SNF(residual)), then the SNF of the residual alone.
+    coker d2.  Route: the kernel rank of d1, counted off kernel_basis (the
+    same sparse elimination, so only d1's residual, often empty, reaches an
+    SNF), then +-1 pivots eliminated from a sparse copy of d2 (unimodular
+    steps, so SNF(d2) = I_p (+) SNF(residual)), then the SNF of the
+    residual alone.
     betti = ker dim - rank d2; invariant factors are the residual's
     diagonal entries above 1.
 

@@ -32,6 +32,7 @@ __all__ = [
     "standardize",
     "pi_expand",
     "straighten",
+    "straighten_columns",
 ]
 
 
@@ -166,7 +167,7 @@ def canonicalize(nb: Numbering, frozen_rows: int = 0) -> tuple[int, Numbering]:
     length are put in ascending order of content; permuting rows of length L
     multiplies the underlying element by the permutation sign raised to L,
     so only odd-length blocks can flip the sign.  The work is done on plain
-    row tuples by _canonical_rows, which straighten calls directly.
+    row tuples by _canonical_rows, which straightening calls directly.
     """
     sign, rows = _canonical_rows(nb.rows, frozen_rows)
     return sign, Numbering(rows)
@@ -380,71 +381,115 @@ def _violation(
     return None
 
 
+Rows = tuple[tuple[int, ...], ...]
 TermsLike = Union[Numbering, NumberingVector, Iterable[tuple[Numbering, int]]]
 
 STRAIGHTEN_STEP_LIMIT = 1_000_000
 
 
-def straighten(
-    v: TermsLike, basis: Sequence[Numbering], frozen_rows: int = 0
-) -> list[int]:
-    """Integer coefficients of v over basis, by exchange-relation rewriting.
+def straighten_columns(
+    vs: Sequence[TermsLike], basis: Sequence[Numbering], frozen_rows: int = 0
+) -> list[list[int]]:
+    """Integer coefficients of each of vs over basis, by exchange-relation
+    rewriting with one memo shared by all of them.
 
     Rows above frozen_rows are never touched; each rewrite step takes the
     topmost violating row pair below the frozen prefix, the rightmost
     violating column, and trades that single entry against every entry of
     the row above (one sign flip per term).  This measure strictly
-    decreases, so on two-column shapes the loop always reaches fillings
+    decreases, so on two-column shapes the rewrite always reaches fillings
     with no violations; those must be basis members.
 
-    The rewrite runs on plain row tuples, keyed against basis rows; no
-    Numbering is built per step.
+    The rewrite of a canonical filling depends only on the filling, so its
+    expansion, a sparse {basis position: coefficient} dict, is kept in a
+    memo local to the call: a filling that several rewrites reach is
+    expanded once.  An explicit stack settles a filling after all the
+    fillings its rewrite step produces.  The rewrite runs on plain row
+    tuples, keyed against basis rows; no Numbering is built per step.
 
     Raises StraighteningStalled when a violation-free term is not in the
-    basis, or when the rewrite exceeds STRAIGHTEN_STEP_LIMIT steps.
+    basis, or when more than STRAIGHTEN_STEP_LIMIT terms are settled,
+    leaves included.
     """
-    index: dict[tuple[tuple[int, ...], ...], int] = {}
+    index: dict[Rows, int] = {}
     for pos, b in enumerate(basis):
         if b.rows in index:
             raise ValueError(f"duplicate basis entry: {b.rows!r}")
         index[b.rows] = pos
 
-    pairs = [(v, 1)] if isinstance(v, Numbering) else list(v)
-
-    out = [0] * len(basis)
-    work: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
-    for nb, c in pairs:
-        if not c:
-            continue
-        sgn, canon = _canonical_rows(nb.rows, frozen_rows)
-        work.append((c * sgn, canon))
-
+    memo: dict[Rows, dict[int, int]] = {}
+    pending: dict[Rows, list[tuple[int, Rows]]] = {}
     steps = 0
-    while work:
-        steps += 1
-        if steps > STRAIGHTEN_STEP_LIMIT:
-            raise StraighteningStalled(
-                f"rewrite did not settle within {STRAIGHTEN_STEP_LIMIT} steps"
-            )
-        c, rows = work.pop()
-        hit = _violation(rows, frozen_rows)
-        if hit is None:
-            pos = index.get(rows)
-            if pos is None:
-                raise StraighteningStalled(
-                    f"violation-free term {rows!r} is not in the basis"
-                )
-            out[pos] += c
-            continue
-        r, col = hit
-        upper, lower = rows[r - 1], rows[r]
-        x = lower[col]
-        low_rest = lower[:col] + lower[col + 1 :]
-        for t, y in enumerate(upper):
-            up = upper[:t] + (x,) + upper[t + 1 :]
-            sgn, canon = _canonical_rows(
-                rows[: r - 1] + (up, (y,) + low_rest) + rows[r + 1 :], frozen_rows
-            )
-            work.append((-c * sgn, canon))
 
+    def settle(root: Rows) -> dict[int, int]:
+        nonlocal steps
+        stack = [root]
+        while stack:
+            rows = stack[-1]
+            if rows in memo:
+                stack.pop()
+                continue
+            children = pending.pop(rows, None)
+            if children is None:
+                hit = _violation(rows, frozen_rows)
+                if hit is None:
+                    pos = index.get(rows)
+                    if pos is None:
+                        raise StraighteningStalled(
+                            f"violation-free term {rows!r} is not in the basis"
+                        )
+                    expansion = {pos: 1}
+                else:
+                    r, col = hit
+                    upper, lower = rows[r - 1], rows[r]
+                    x = lower[col]
+                    low_rest = lower[:col] + lower[col + 1 :]
+                    children = [
+                        _canonical_rows(
+                            rows[: r - 1]
+                            + (upper[:t] + (x,) + upper[t + 1 :], (y,) + low_rest)
+                            + rows[r + 1 :],
+                            frozen_rows,
+                        )
+                        for t, y in enumerate(upper)
+                    ]
+                    missing = [canon for _, canon in children if canon not in memo]
+                    if missing:
+                        pending[rows] = children
+                        stack.extend(missing)
+                        continue
+            if children is not None:
+                acc: dict[int, int] = {}
+                for sgn, canon in children:
+                    for pos, c in memo[canon].items():
+                        acc[pos] = acc.get(pos, 0) - sgn * c
+                expansion = {pos: c for pos, c in acc.items() if c}
+            steps += 1
+            if steps > STRAIGHTEN_STEP_LIMIT:
+                raise StraighteningStalled(
+                    f"rewrite did not settle within {STRAIGHTEN_STEP_LIMIT} steps"
+                )
+            memo[rows] = expansion
+            stack.pop()
+        return memo[root]
+
+    out = []
+    for v in vs:
+        pairs = [(v, 1)] if isinstance(v, Numbering) else list(v)
+        column = [0] * len(basis)
+        for nb, c in pairs:
+            if not c:
+                continue
+            sgn, canon = _canonical_rows(nb.rows, frozen_rows)
+            for pos, x in settle(canon).items():
+                column[pos] += c * sgn * x
+        out.append(column)
     return out
+
+
+def straighten(
+    v: TermsLike, basis: Sequence[Numbering], frozen_rows: int = 0
+) -> list[int]:
+    """Integer coefficients of v over basis: straighten_columns([v], basis,
+    frozen_rows)[0], which documents the rewrite and its errors."""
+    return straighten_columns([v], basis, frozen_rows)[0]

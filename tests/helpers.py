@@ -1,10 +1,11 @@
 """Test helpers shared by several test modules: an exact determinant, used
 only to judge the Smith normal form, graphs that recur across suites, and
-the per-column complex build that judges build_restricted_complex."""
+the per-edge degree-1 basis and per-column complex build that judge
+degree1_basis and build_restricted_complex."""
 
 import random
 
-from cshom.complexes import RestrictedComplex, degree1_basis
+from cshom.complexes import RestrictedComplex, _standard_below
 from cshom.errors import ComplexNotExact
 from cshom.graphs import (
     Graph,
@@ -126,11 +127,40 @@ def criterion4_graphs():
     return graphs
 
 
+def reference_degree1_basis(g, shape):
+    """The per-edge degree-1 basis that degree1_basis replaced, kept as its
+    oracle: every pattern standardized against every edge's numbering, and
+    each block checked on its own."""
+    g.assert_canonical()
+    if shape.n != g.n:
+        raise ValueError(f"shape size {shape.n} != graph order {g.n}")
+    k = shape.two_column_rows()
+    if k is None or k < 1:
+        raise ValueError(f"shape {shape.parts!r} is not (2^k, 1^*) with k >= 1")
+
+    mu = Partition((2,) + (1,) * (g.n - 2))
+    patterns = enumerate_ssyt(shape, mu)
+    basis1 = []
+    for i, e in enumerate(g.edges, start=1):
+        t_e = numbering_of_subgraph(g, (e,))
+        block = [standardize(z, t_e) for z in patterns]
+        for x in block:
+            if x.rows[0] != e:
+                raise AssertionError(f"filling {x.rows!r} does not start with {e!r}")
+            if not _standard_below(x, 1):
+                raise AssertionError(f"filling {x.rows!r} is not standard below the edge")
+        if [x.rows for x in sorted(block, key=Numbering.key)] != [x.rows for x in block]:
+            raise AssertionError("edge block must be listed in ascending order")
+        basis1.extend((i, j, x) for j, x in enumerate(block, start=1))
+    return tuple(basis1)
+
+
 def reference_build_restricted_complex(g, shape):
     """The per-column build that build_restricted_complex replaced, kept as
-    its oracle: every pair filling standardized on its own and both block
-    parts of every d2 column straightened afresh."""
-    basis1 = degree1_basis(g, shape)
+    its oracle: the per-edge degree-1 basis, every d1 column straightened on
+    its own, every pair filling standardized on its own and both block parts
+    of every d2 column straightened afresh."""
+    basis1 = reference_degree1_basis(g, shape)
     k = shape.two_column_rows()
     basis0 = enumerate_syt(shape)
     n = g.n

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import cshom.complexes
-from cshom.complexes import build_restricted_complex
+from cshom.complexes import build_restricted_complex, degree1_basis
 from cshom.groupalg import oracle_restricted_matrices
 from cshom.graphs import (
     Graph,
@@ -20,6 +20,7 @@ from helpers import (
     criterion4_graphs,
     heawood_graph,
     reference_build_restricted_complex,
+    reference_degree1_basis,
 )
 
 
@@ -211,6 +212,28 @@ def test_build_matches_reference_on_heawood(k):
     _assert_matches_reference(heawood_graph(), Partition.two_column(14, k))
 
 
+def test_degree1_basis_matches_per_edge_reference_at_every_shape():
+    graphs = criterion3_graphs() + criterion4_graphs()
+    rng = random.Random(91)
+    for n in range(5, 10):
+        for _ in range(4):
+            edges = [
+                (u, v)
+                for u in range(1, n + 1)
+                for v in range(u + 1, n + 1)
+                if rng.random() < 0.5
+            ]
+            graphs.append(Graph.from_edges(n, edges))
+    checked = 0
+    for g in graphs:
+        for k in range(1, g.n // 2 + 1):
+            if g.m:
+                shape = Partition.two_column(g.n, k)
+                assert degree1_basis(g, shape) == reference_degree1_basis(g, shape)
+                checked += 1
+    assert checked > 500
+
+
 def _count_build_calls(monkeypatch, g, k):
     frozen = []
     standardized = []
@@ -235,8 +258,9 @@ def test_d2_straightens_each_order_type_once(monkeypatch):
     c, d2_calls, std_calls = _count_build_calls(monkeypatch, complete_graph(10), 2)
     assert len(c.basis2) == 630
     assert d2_calls == 28
-    assert std_calls == len(c.basis1)
+    # degree1_basis standardizes each pattern once, into the edge template
+    assert std_calls == len(c.basis1) // c.graph.m
     c, d2_calls, std_calls = _count_build_calls(monkeypatch, petersen_graph(), 4)
     assert len(c.basis2) == 675
     assert d2_calls <= 28 * 9
-    assert std_calls == len(c.basis1)
+    assert std_calls == len(c.basis1) // c.graph.m

@@ -5,12 +5,14 @@ import random
 import numpy as np
 import pytest
 
+import cshom.intlinalg
 from cshom.certificates import certify_nonplanar
 from cshom.complexes import build_restricted_complex
 from cshom.errors import ComplexNotExact
 from cshom.graphs import complete_bipartite, complete_graph, petersen_graph
 from cshom.intlinalg import (
     HomologyResult,
+    _dims,
     _unit_pivot_reduce,
     homology_group,
     kernel_basis,
@@ -399,6 +401,28 @@ def test_solve_integer_matches_reference_on_certified_complexes(name):
     assert not _solve_agrees(d2, list(cert.h))
 
 
+def reference_kernel_basis(m):
+    """The dense route that kernel_basis replaced, kept as its oracle.
+
+    Basis of the integer kernel lattice of m, as a list of columns.
+
+    The returned columns generate the full kernel lattice (the unimodular V
+    of the SNF makes the sublattice saturated).  Each column's first nonzero
+    entry is positive for deterministic output.
+    """
+    r, c = _dims(m)
+    S, U, V = smith_normal_form(m)
+    rank = sum(1 for i in range(min(r, c)) if S[i][i])
+    out = []
+    for j in range(rank, c):
+        col = [V[i][j] for i in range(c)]
+        lead = next((x for x in col if x), 0)
+        if lead < 0:
+            col = [-x for x in col]
+        out.append(col)
+    return out
+
+
 def reference_homology(d1, d2):
     """The three-SNF route that homology_group replaced, kept as its oracle:
     the kernel lattice of d1, the coordinates of every d2 column in that
@@ -409,7 +433,7 @@ def reference_homology(d1, d2):
     assert c1 == len(d2)
     if c1 and c2 and any(x for row in mat_mul(d1, d2) for x in row):
         raise ComplexNotExact("d1 composed with d2 is nonzero")
-    kernel = kernel_basis(d1)
+    kernel = reference_kernel_basis(d1)
     kdim = len(kernel)
     if kdim == 0 or c2 == 0:
         return HomologyResult(betti=kdim, invariant_factors=())
@@ -449,7 +473,7 @@ def _random_exact_pair(rng, pool):
     possible."""
     rows, cols = rng.randint(1, 6), rng.randint(1, 7)
     d2 = [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
-    left = kernel_basis([list(c) for c in zip(*d2)])
+    left = reference_kernel_basis([list(c) for c in zip(*d2)])
     d1 = []
     for vec in left:
         if rng.random() < 0.7:
@@ -529,3 +553,79 @@ def test_homology_group_matches_reference_on_graph_corpus(name, make, k):
     c = build_restricted_complex(g, Partition.two_column(g.n, k))
     d1, d2 = [list(r) for r in c.d1], [list(r) for r in c.d2]
     assert homology_group(d1, d2) == reference_homology(d1, d2)
+
+
+def _saturated(cols):
+    """Whether the columns span a saturated lattice: all nonzero invariant
+    factors of the column matrix are 1, read off the unit-pivot split."""
+    _, residual = _unit_pivot_reduce([list(r) for r in zip(*cols)])
+    if not residual:
+        return True
+    return all(d == 1 for d in _diag(smith_normal_form(residual)[0]) if d)
+
+
+def _assert_same_kernel(m, solve_cols=None):
+    """kernel_basis(m) against reference_kernel_basis(m): equal dimension,
+    every column in the kernel, a positive leading entry, and the same
+    lattice each way, each column solved in the other basis by
+    solve_integer (all columns, or a seeded sample of solve_cols per side
+    when given).  With a sample, both bases are also checked saturated:
+    a saturated lattice of full kernel rank inside the kernel is the whole
+    kernel lattice, so equality is still exact."""
+    got, want = kernel_basis(m), reference_kernel_basis(m)
+    assert len(got) == len(want)
+    rows = len(m)
+    for col in got:
+        assert mat_vec(m, col) == [0] * rows
+        assert next(x for x in col if x) > 0
+    if not got:
+        return
+    rng = random.Random(len(got))
+    for basis, other in ((want, got), (got, want)):
+        mat = [list(r) for r in zip(*basis)]
+        sample = other if solve_cols is None else rng.sample(other, min(solve_cols, len(other)))
+        assert all(solve_integer(mat, col) is not None for col in sample)
+        if solve_cols is not None:
+            assert _saturated(basis)
+
+
+@pytest.mark.parametrize("pool", sorted(_ENTRY_POOLS))
+def test_kernel_basis_matches_dense_reference_on_random_matrices(pool):
+    rng = random.Random(f"kernel:{pool}")
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 8)
+        density = rng.choice((0.3, 0.6, 1.0))
+        m = [
+            [rng.choice(_ENTRY_POOLS[pool]) if rng.random() < density else 0
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        _assert_same_kernel(m)
+
+
+_KERNEL_CORPUS = [(name, make, k) for name, make, k in _GRAPH_CORPUS] + [
+    ("heawood", heawood_graph, 3)
+]
+
+
+@pytest.mark.parametrize(
+    "name,make,k", _KERNEL_CORPUS, ids=[f"{name}-k{k}" for name, _, k in _KERNEL_CORPUS]
+)
+def test_kernel_basis_matches_dense_reference_on_graph_d1(name, make, k):
+    g = make()
+    c = build_restricted_complex(g, Partition.two_column(g.n, k))
+    _assert_same_kernel(c.d1, solve_cols=12)
+
+
+def test_kernel_basis_of_k10_d1_takes_no_smith_form(monkeypatch):
+    c = build_restricted_complex(complete_graph(10), Partition.two_column(10, 2))
+    calls = []
+    real = cshom.intlinalg.smith_normal_form
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(cshom.intlinalg, "smith_normal_form", counting)
+    assert len(kernel_basis(c.d1)) == 280
+    assert calls == []

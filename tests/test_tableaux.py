@@ -25,6 +25,7 @@ from cshom.tableaux import (
     pi_expand,
     standardize,
     straighten,
+    straighten_columns,
 )
 from cshom.graphs import complete_bipartite, complete_graph, petersen_graph
 from helpers import heawood_graph, k5_six_subdivided
@@ -333,15 +334,26 @@ def test_straighten_matches_reference_on_every_pipeline_call(monkeypatch):
     calls = []
     mismatches = []
 
-    def checked(v, basis, frozen_rows=0):
-        v = v if isinstance(v, Numbering) else list(v)
-        got = straighten(v, basis, frozen_rows)
+    def check(v, got, basis, frozen_rows):
         calls.append(frozen_rows)
         if got != reference_straighten(v, basis, frozen_rows):
             mismatches.append((v, frozen_rows))
+
+    def checked(v, basis, frozen_rows=0):
+        v = v if isinstance(v, Numbering) else list(v)
+        got = straighten(v, basis, frozen_rows)
+        check(v, got, basis, frozen_rows)
+        return got
+
+    def checked_columns(vs, basis, frozen_rows=0):
+        vs = [v if isinstance(v, Numbering) else list(v) for v in vs]
+        got = straighten_columns(vs, basis, frozen_rows)
+        for v, column in zip(vs, got):
+            check(v, column, basis, frozen_rows)
         return got
 
     monkeypatch.setattr(cshom.complexes, "straighten", checked)
+    monkeypatch.setattr(cshom.complexes, "straighten_columns", checked_columns)
     monkeypatch.setattr(cshom.certificates, "straighten", checked)
     builds = [(petersen_graph(), k) for k in (2, 3, 4, 5)]
     builds += [(complete_graph(8), k) for k in (2, 3, 4)]
@@ -353,10 +365,12 @@ def test_straighten_matches_reference_on_every_pipeline_call(monkeypatch):
         certify_nonplanar(g)
     assert mismatches == []
     assert set(calls) == {0, 1}
-    # a build straightens each d2 order type once, so repeated d2 columns
-    # are no longer counted here; the build oracle in test_complexes covers
-    # the columns filled from the table
-    assert len(calls) > 3_000
+    # one entry per column: the d1 columns, which each build straightens in
+    # one straighten_columns call (2794 here, frozen_rows=0), plus one per
+    # straighten call for a d2 order type or a lift target (747, frozen_rows=1);
+    # repeated d2 columns are filled from the build's table and covered by
+    # the build oracle in test_complexes
+    assert calls.count(0) > 2_500 and calls.count(1) > 600
 
 
 @functools.cache
@@ -393,6 +407,52 @@ def test_straighten_matches_reference_on_linear_combinations(data):
     assert straighten(pairs, basis, frozen_rows) == reference_straighten(
         pairs, basis, frozen_rows
     )
+
+
+def _draw_combination(data, shape):
+    coeffs = st.integers(-3, 3).filter(bool)
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        perm = data.draw(st.permutations(list(range(1, shape.n + 1))))
+        rows, pos = [], 0
+        for length in shape.parts:
+            rows.append(tuple(perm[pos : pos + length]))
+            pos += length
+        pairs.append((Numbering(tuple(rows)), data.draw(coeffs)))
+    return pairs
+
+
+@given(st.data())
+def test_straighten_columns_matches_straighten_per_column(data):
+    first = _two_column_numbering(data.draw, 5, 7)
+    shape = first.shape
+    frozen_rows = data.draw(st.integers(0, 1))
+    vs = [first] + [
+        _draw_combination(data, shape) for _ in range(data.draw(st.integers(0, 4)))
+    ]
+    basis = _violation_free_fillings(shape, frozen_rows)
+    assert straighten_columns(vs, basis, frozen_rows) == [
+        straighten(v, basis, frozen_rows) for v in vs
+    ]
+
+
+def test_straighten_columns_matches_straighten_on_complex_blocks():
+    g = petersen_graph()
+    c = build_restricted_complex(g, Partition.two_column(g.n, 3))
+    fillings1 = [x for _, _, x in c.basis1]
+    assert straighten_columns(fillings1, c.basis0) == [
+        straighten(x, c.basis0) for x in fillings1
+    ]
+    # d2 block parts: pair fillings over the block of their top edge
+    block = fillings1[: c.copies1]
+    top = block[0].rows[0]
+    pairs = [w.rows for _, _, w in c.basis2 if w.rows[0] == top]
+    assert len(pairs) > 10
+    vs = [Numbering(rows) for rows in pairs] + [[(Numbering(r), 2) for r in pairs]]
+    assert straighten_columns(vs, block, frozen_rows=1) == [
+        straighten(v, block, frozen_rows=1) for v in vs
+    ]
+    assert straighten_columns([], block, frozen_rows=1) == []
 
 
 def test_straighten_rejects_frozen_rows_past_the_shape():
