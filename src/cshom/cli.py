@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .certificates import certificate_from_dict, certificate_to_dict, certify_nonplanar
 from .complexes import build_restricted_complex
 from .errors import CshomError, PlanarInput
-from .graphs import normalize, parse_graph
+from .graphs import normalize, parse_graph, to_graph6
 from .intlinalg import check_certificate, homology_group
 from .survey import (
     generate_connected_graphs,
@@ -190,11 +190,11 @@ def cmd_survey(args: argparse.Namespace) -> int:
                     continue
                 try:
                     g, report = normalize(parse_graph(ln))
+                    if report.had_loop:
+                        raise ValueError("graph has a loop")
+                    items.append(to_graph6(g))
                 except ValueError as exc:
                     raise ValueError(f"corpus line {lineno}: {exc}") from None
-                if report.had_loop:
-                    raise ValueError(f"corpus line {lineno}: graph has a loop")
-                items.append(g)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

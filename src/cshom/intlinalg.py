@@ -3,12 +3,11 @@ kernels and solves, homology of a two-step integer complex, and torsion
 certificate checking.
 
 Matrices cross the API as lists of rows of Python ints, so results are exact
-no matter the size.  Products (mat_mul, mat_vec) run over nonzeros in
-Python ints.  numpy appears only in the SNF: its elimination runs on int64
-for speed with a magnitude guard; when entries approach the guard the
-computation restarts on an object-dtype array (Python ints, still
-vectorized, still exact).  Kernels, homology and integer solves share one
-sparse elimination of unit pivots on a Python-int copy of the matrix, so
+no matter the size, and the module needs only the standard library.
+Products (mat_mul, mat_vec) run over nonzeros.  The SNF eliminates on
+Python-int row lists and skips every row whose quotient is 0, so its cost
+follows the nonzeros it touches.  Kernels, homology and integer solves share
+one sparse elimination of unit pivots on a Python-int copy of the matrix, so
 the SNF sees only the residual: a kernel basis takes the residual's kernel
 from its SNF and back-substitutes the pivot columns, homology reads its
 invariants off the residual's SNF, and a solve carries the right-hand side
@@ -23,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import ComplexNotExact
 
@@ -43,13 +40,6 @@ __all__ = [
 
 Matrix = list[list[int]]
 
-# int64 elimination restarts in exact mode once any entry reaches this
-_GUARD = 1 << 28
-
-
-class _Overflow(Exception):
-    pass
-
 
 def _dims(m: Sequence[Sequence[int]]) -> tuple[int, int]:
     r = len(m)
@@ -59,87 +49,27 @@ def _dims(m: Sequence[Sequence[int]]) -> tuple[int, int]:
     return r, c
 
 
-def _eye(n: int, exact: bool) -> np.ndarray:
-    if exact:
-        out = np.zeros((n, n), dtype=object)
-        for i in range(n):
-            out[i, i] = 1
-        return out
-    return np.eye(n, dtype=np.int64)
+def _least_entry(A: Matrix, k: int) -> Optional[tuple[int, int]]:
+    """Position of the first entry of least nonzero |value| in row-major
+    order of the block A[k:, k:], or None when that block is zero."""
+    best, at = 0, -1
+    for i in range(k, len(A)):
+        least = min(map(abs, filter(None, A[i][k:])), default=0)
+        if least and (not best or least < best):
+            best, at = least, i
+            if best == 1:
+                break
+    if not best:
+        return None
+    row = A[at]
+    return at, next(j for j in range(k, len(row)) if abs(row[j]) == best)
 
 
-def _exceeds(a: np.ndarray) -> bool:
-    return bool(a.size) and int(np.abs(a).max()) >= _GUARD
-
-
-def _snf_arrays(
-    A: np.ndarray, guarded: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows, cols = A.shape
-    exact = not guarded
-    U = _eye(rows, exact)
-    V = _eye(cols, exact)
-    k = 0
-    while k < min(rows, cols):
-        sub = A[k:, k:]
-        nzr, nzc = np.nonzero(sub)
-        if len(nzr) == 0:
-            break
-        t = int(np.argmin(np.abs(sub[nzr, nzc])))
-        i, j = int(nzr[t]) + k, int(nzc[t]) + k
-        if i != k:
-            A[[k, i], :] = A[[i, k], :]
-            U[[k, i], :] = U[[i, k], :]
-        if j != k:
-            A[:, [k, j]] = A[:, [j, k]]
-            V[:, [k, j]] = V[:, [j, k]]
-        while True:
-            if guarded and (_exceeds(A) or _exceeds(U) or _exceeds(V)):
-                raise _Overflow
-            if A[k, k] < 0:
-                A[k, :] = -A[k, :]
-                U[k, :] = -U[k, :]
-            p = A[k, k]
-            col = A[:, k].copy()
-            col[k] = 0
-            if np.any(col):
-                q = col // p
-                A -= np.outer(q, A[k, :])
-                U -= np.outer(q, U[k, :])
-                rem = A[:, k].copy()
-                rem[k] = 0
-                nz = np.nonzero(rem)[0]
-                if len(nz):
-                    # remainder smaller than the pivot: promote it
-                    i = int(nz[np.argmin(np.abs(rem[nz]))])
-                    A[[k, i], :] = A[[i, k], :]
-                    U[[k, i], :] = U[[i, k], :]
-                continue
-            rowv = A[k, :].copy()
-            rowv[k] = 0
-            if np.any(rowv):
-                q = rowv // p
-                A -= np.outer(A[:, k], q)
-                V -= np.outer(V[:, k], q)
-                rem = A[k, :].copy()
-                rem[k] = 0
-                nz = np.nonzero(rem)[0]
-                if len(nz):
-                    j = int(nz[np.argmin(np.abs(rem[nz]))])
-                    A[:, [k, j]] = A[:, [j, k]]
-                    V[:, [k, j]] = V[:, [j, k]]
-                continue
-            if p != 1 and k + 1 < min(rows, cols):
-                tail = A[k + 1 :, k + 1 :]
-                bad_r, bad_c = np.nonzero(tail % p)
-                if len(bad_r):
-                    i = int(bad_r[0]) + k + 1
-                    A[k, :] += A[i, :]
-                    U[k, :] += U[i, :]
-                    continue
-            break
-        k += 1
-    return A, U, V
+def _subtract(M: Matrix, i: int, q: int, nz: list[int], src: list[int]) -> None:
+    """M[i] -= q * src, over the nonzero positions nz of src."""
+    row = M[i]
+    for t in nz:
+        row[t] -= q * src[t]
 
 
 def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -147,20 +77,81 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
     U and V are unimodular; S is diagonal with nonnegative entries, each
     dividing the next.
+
+    The elimination is pinned, not just correct: U and V decide the kernel
+    columns of kernel_basis and solve_integer's x, which certificate
+    documents store as witness_x.  At step k the pivot is the first entry of
+    least |value| in row-major order of the trailing block.  Its column is
+    then cleared by row operations with floor quotients and its row by
+    column operations; each time a nonzero remainder is left, the first one
+    of least |value| is swapped into the pivot.  When the pivot does not
+    divide the whole trailing block, the first row holding an entry it does
+    not divide is added to the pivot row and the step goes on.
     """
     r, c = _dims(m)
-    try:
-        A = np.array(m, dtype=np.int64).reshape(r, c)
-        if _exceeds(A):
-            raise _Overflow
-        S, U, V = _snf_arrays(A, guarded=True)
-    except (_Overflow, OverflowError):
-        A = np.empty((r, c), dtype=object)
-        for i in range(r):
-            for j in range(c):
-                A[i, j] = int(m[i][j])
-        S, U, V = _snf_arrays(A, guarded=False)
-    return S.tolist(), U.tolist(), V.tolist()
+    A = [[int(x) for x in row] for row in m]
+    U = [[int(i == j) for j in range(r)] for i in range(r)]
+    # V is kept transposed, so its column operations are row operations
+    Vt = [[int(i == j) for j in range(c)] for i in range(c)]
+
+    def swap_cols(j: int) -> None:
+        for row in A:
+            row[k], row[j] = row[j], row[k]
+        Vt[k], Vt[j] = Vt[j], Vt[k]
+
+    for k in range(min(r, c)):
+        at = _least_entry(A, k)
+        if at is None:
+            break
+        i, j = at
+        A[k], A[i] = A[i], A[k]
+        U[k], U[i] = U[i], U[k]
+        swap_cols(j)
+        while True:
+            if A[k][k] < 0:
+                A[k] = [-x for x in A[k]]
+                U[k] = [-x for x in U[k]]
+            p = A[k][k]
+            below = [i for i in range(r) if i != k and A[i][k]]
+            if below:
+                nz_a = list(compress(range(c), A[k]))
+                nz_u = list(compress(range(r), U[k]))
+                for i in below:
+                    q = A[i][k] // p
+                    if q:
+                        _subtract(A, i, q, nz_a, A[k])
+                        _subtract(U, i, q, nz_u, U[k])
+                left = [i for i in below if A[i][k]]
+                if left:
+                    # remainder smaller than the pivot: promote it
+                    i = min(left, key=lambda i: abs(A[i][k]))
+                    A[k], A[i] = A[i], A[k]
+                    U[k], U[i] = U[i], U[k]
+                continue
+            row = A[k]
+            right = [j for j in range(c) if j != k and row[j]]
+            if right:
+                nz_v = list(compress(range(c), Vt[k]))
+                for j in right:
+                    q = row[j] // p
+                    if q:
+                        row[j] -= q * p
+                        _subtract(Vt, j, q, nz_v, Vt[k])
+                left = [j for j in right if row[j]]
+                if left:
+                    swap_cols(min(left, key=lambda j: abs(row[j])))
+                continue
+            if p != 1:
+                bad = next(
+                    (i for i in range(k + 1, r) if any(x % p for x in A[i][k + 1 :])),
+                    None,
+                )
+                if bad is not None:
+                    A[k] = [a + b for a, b in zip(A[k], A[bad])]
+                    U[k] = [a + b for a, b in zip(U[k], U[bad])]
+                    continue
+            break
+    return A, U, [list(col) for col in zip(*Vt)]
 
 
 def kernel_basis(m: Matrix) -> list[list[int]]:

@@ -1,9 +1,12 @@
 """Test helpers shared by several test modules: an exact determinant, used
-only to judge the Smith normal form, graphs that recur across suites, and
-the per-edge degree-1 basis and per-column complex build that judge
-degree1_basis and build_restricted_complex."""
+only to judge the Smith normal form, graphs that recur across suites, the
+per-edge degree-1 basis and per-column complex build that judge
+degree1_basis and build_restricted_complex, and the numpy Smith normal form
+that judges smith_normal_form."""
 
 import random
+
+import numpy as np
 
 from cshom.complexes import RestrictedComplex, _standard_below
 from cshom.errors import ComplexNotExact
@@ -16,7 +19,7 @@ from cshom.graphs import (
     path_graph,
     subdivide,
 )
-from cshom.intlinalg import mat_mul
+from cshom.intlinalg import _dims, mat_mul
 from cshom.survey import generate_connected_graphs
 from cshom.tableaux import (
     Numbering,
@@ -214,3 +217,116 @@ def reference_build_restricted_complex(g, shape):
         d1=d1,
         d2=d2,
     )
+
+
+# int64 elimination restarts in exact mode once any entry reaches this
+_GUARD = 1 << 28
+
+
+class _Overflow(Exception):
+    pass
+
+
+def _eye(n: int, exact: bool) -> np.ndarray:
+    if exact:
+        out = np.zeros((n, n), dtype=object)
+        for i in range(n):
+            out[i, i] = 1
+        return out
+    return np.eye(n, dtype=np.int64)
+
+
+def _exceeds(a: np.ndarray) -> bool:
+    return bool(a.size) and int(np.abs(a).max()) >= _GUARD
+
+
+def _snf_arrays(
+    A: np.ndarray, guarded: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rows, cols = A.shape
+    exact = not guarded
+    U = _eye(rows, exact)
+    V = _eye(cols, exact)
+    k = 0
+    while k < min(rows, cols):
+        sub = A[k:, k:]
+        nzr, nzc = np.nonzero(sub)
+        if len(nzr) == 0:
+            break
+        t = int(np.argmin(np.abs(sub[nzr, nzc])))
+        i, j = int(nzr[t]) + k, int(nzc[t]) + k
+        if i != k:
+            A[[k, i], :] = A[[i, k], :]
+            U[[k, i], :] = U[[i, k], :]
+        if j != k:
+            A[:, [k, j]] = A[:, [j, k]]
+            V[:, [k, j]] = V[:, [j, k]]
+        while True:
+            if guarded and (_exceeds(A) or _exceeds(U) or _exceeds(V)):
+                raise _Overflow
+            if A[k, k] < 0:
+                A[k, :] = -A[k, :]
+                U[k, :] = -U[k, :]
+            p = A[k, k]
+            col = A[:, k].copy()
+            col[k] = 0
+            if np.any(col):
+                q = col // p
+                A -= np.outer(q, A[k, :])
+                U -= np.outer(q, U[k, :])
+                rem = A[:, k].copy()
+                rem[k] = 0
+                nz = np.nonzero(rem)[0]
+                if len(nz):
+                    # remainder smaller than the pivot: promote it
+                    i = int(nz[np.argmin(np.abs(rem[nz]))])
+                    A[[k, i], :] = A[[i, k], :]
+                    U[[k, i], :] = U[[i, k], :]
+                continue
+            rowv = A[k, :].copy()
+            rowv[k] = 0
+            if np.any(rowv):
+                q = rowv // p
+                A -= np.outer(A[:, k], q)
+                V -= np.outer(V[:, k], q)
+                rem = A[k, :].copy()
+                rem[k] = 0
+                nz = np.nonzero(rem)[0]
+                if len(nz):
+                    j = int(nz[np.argmin(np.abs(rem[nz]))])
+                    A[:, [k, j]] = A[:, [j, k]]
+                    V[:, [k, j]] = V[:, [j, k]]
+                continue
+            if p != 1 and k + 1 < min(rows, cols):
+                tail = A[k + 1 :, k + 1 :]
+                bad_r, bad_c = np.nonzero(tail % p)
+                if len(bad_r):
+                    i = int(bad_r[0]) + k + 1
+                    A[k, :] += A[i, :]
+                    U[k, :] += U[i, :]
+                    continue
+            break
+        k += 1
+    return A, U, V
+
+
+def reference_smith_normal_form(m):
+    """The numpy Smith normal form that smith_normal_form replaced, both
+    routes verbatim, kept as its oracle: (S, U, V) with U m V = S, by
+    elimination on int64 under a magnitude guard, restarted on an
+    object-dtype array once an entry reaches the guard."""
+    r, c = _dims(m)
+    try:
+        A = np.array(m, dtype=np.int64).reshape(r, c)
+        if _exceeds(A):
+            raise _Overflow
+        S, U, V = _snf_arrays(A, guarded=True)
+    except (_Overflow, OverflowError):
+        A = np.empty((r, c), dtype=object)
+        for i in range(r):
+            for j in range(c):
+                A[i, j] = int(m[i][j])
+        S, U, V = _snf_arrays(A, guarded=False)
+    return S.tolist(), U.tolist(), V.tolist()
+
+

@@ -292,6 +292,16 @@ def test_survey_names_the_corpus_line_of_a_parse_error(tmp_path, capsys):
     assert not cache.exists()
 
 
+def test_survey_refuses_corpus_graph_past_graph6_range(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(C4_EDGE_LIST + "63 1 1 2\n")
+    cache = tmp_path / "cache"
+    assert main(["survey", str(corpus), "--cache", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "error: corpus line 2: graph6 n > 62 not supported"
+    assert not cache.exists()
+
+
 def test_survey_corpus_collapses_duplicate_edges(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("4 5 1 2 2 3 3 4 1 4 2 1\n")

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +26,13 @@ from cshom.intlinalg import (
     solve_integer,
 )
 from cshom.tableaux import Partition
-from helpers import determinant, heawood_graph, k5_six_subdivided
+from helpers import (
+    determinant,
+    heawood_graph,
+    k5_six_subdivided,
+    reference_smith_normal_form,
+)
+from test_acceptance import _snf_suite
 
 
 def _matrix_suite():
@@ -117,6 +127,60 @@ def test_determinant_large_entries_exact():
     a = [[(i * 97 + j * 89 + 1) ** 3 for j in range(6)] for i in range(6)]
     s, u, v = smith_normal_form(a)
     assert mat_mul(mat_mul(u, a), v) == s
+
+
+def _random_sparse(seed, pool):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(100):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        density = rng.choice((0.2, 0.5, 1.0))
+        out.append([
+            [rng.choice(pool) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ])
+    return out
+
+
+def _graph_differentials():
+    out = []
+    for g, k, names in (
+        (complete_graph(5), 2, ("d1", "d2")),
+        (complete_bipartite((1, 2, 3), (4, 5, 6)), 2, ("d1", "d2")),
+        (petersen_graph(), 2, ("d1", "d2")),
+        (complete_graph(8), 4, ("d1",)),
+    ):
+        c = build_restricted_complex(g, Partition.two_column(g.n, k))
+        out += [[list(r) for r in getattr(c, name)] for name in names]
+    return out
+
+
+# the numpy oracle ran int64 below 2^28 and restarted on Python ints past it:
+# "grows-past-2^28" restarts mid-elimination on 38 of its 100 matrices, the
+# two "past" pools start on Python ints on most of theirs
+_SNF_ORACLE_CORPORA = {
+    "matrix-suite": _matrix_suite,
+    "criterion6-suite": _snf_suite,
+    "empty-shapes": lambda: [[], [[]], [[], [], []]],
+    "grows-past-2^28": lambda: _random_sparse(
+        "snf:grows", (0, 0, 1, -1, 2, 5, 3 * 2**20 + 7, 2**27 - 1)
+    ),
+    "past-2^28": lambda: _random_sparse(
+        "snf:2^28", (0, 0, 1, -1, 2**28 + 3, -(2**29) - 6, 3 * 2**28)
+    ),
+    "past-2^63": lambda: _random_sparse(
+        "snf:2^63", (0, 1, -1, 3, 2**63 + 1, -(2**64), 2**70 - 5)
+    ),
+    "graph-differentials": _graph_differentials,
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(_SNF_ORACLE_CORPORA))
+def test_smith_normal_form_equals_numpy_reference(corpus):
+    # U and V reach witness_x and the kernel_basis columns, so S alone is not
+    # enough: all three must be the oracle's, entry for entry
+    for m in _SNF_ORACLE_CORPORA[corpus]():
+        assert smith_normal_form(m) == reference_smith_normal_form(m)
 
 
 def test_solve_integer_round_trip():
@@ -214,7 +278,7 @@ def _reference_product(a, b):
         ([[2**63, 1]], [[1], [2]]),  # does not fit int64
         ([[-(2**63)]], [[1, -1]]),  # fits int64, bound too large
         ([[2**30, 2**30]], [[2**31 - 1], [2**31 - 1]]),  # bound just below 2^62
-        ([[2**31, 2**31]], [[2**31], [2**31]]),  # bound 2^63: int64 would wrap
+        ([[2**31, 2**31]], [[2**31], [2**31]]),  # bound 2^63, one past the int64 range
         ([[-(2**31), -(2**31)]], [[2**31], [2**31]]),
         ([[2**31]], [[2**31]]),  # bound exactly 2^62
         ([[0, 0], [0, 0]], [[0], [0]]),
@@ -280,7 +344,7 @@ def test_mat_mul_and_mat_vec_are_exact_on_int64_operands_past_2_63():
 
 
 def test_homology_group_rejects_composites_past_int64():
-    # 2^41 * 2^23 = 2^64 wraps to 0 in int64
+    # d1 d2 = 2^64 is nonzero but 0 modulo 2^64: only an exact product rejects it
     with pytest.raises(ComplexNotExact):
         homology_group([[2**41]], [[2**23]])
     with pytest.raises(ComplexNotExact):
@@ -334,7 +398,9 @@ def test_solve_integer_matches_reference_on_suite():
     assert outcomes.count(False) >= 100
 
 
-_BIG = (1 << 28) + 3  # past the int64 elimination guard
+# a large non-unit: it stays in the residual, so the SNF, its transforms and
+# the back-substitution multiply entries past 2^28
+_BIG = (1 << 28) + 3
 
 _SOLVE_POOLS = {
     "units": (1, -1),
@@ -458,7 +524,7 @@ def reference_homology(d1, d2):
 
 
 # entry pools for random d2: generic, no +-1 entry (the residual is all of
-# d2), all zero, and units mixed with entries past the int64 guard
+# d2), all zero, and units mixed with large non-units that stay in the residual
 _ENTRY_POOLS = {
     "mixed": (0, 0, 0, 1, -1, 2, -2, 3),
     "no_units": (0, 0, 2, -2, 3, 4, -6),
@@ -500,7 +566,7 @@ def test_homology_group_matches_reference_without_d2_columns():
 
 
 def test_unit_pivots_split_off_the_smith_form():
-    # SNF(m) = I_p (+) SNF(residual), also when the residual passes the guard
+    # SNF(m) = I_p (+) SNF(residual), also when the residual keeps entries past 2^28
     rng = random.Random(17)
     for pool in _ENTRY_POOLS.values():
         for _ in range(25):
@@ -629,3 +695,33 @@ def test_kernel_basis_of_k10_d1_takes_no_smith_form(monkeypatch):
     monkeypatch.setattr(cshom.intlinalg, "smith_normal_form", counting)
     assert len(kernel_basis(c.d1)) == 280
     assert calls == []
+
+
+_NO_NUMPY_SCRIPT = """
+import json, sys
+from cshom import (
+    Partition, build_restricted_complex, canonical_certificates,
+    certificate_from_dict, certificate_to_dict, certify_nonplanar,
+    check_certificate, complete_graph, homology_group, petersen_graph,
+)
+canonical_certificates()
+c = build_restricted_complex(complete_graph(5), Partition.two_column(5, 2))
+assert homology_group(c.d1, c.d2).has_z2
+doc = json.loads(json.dumps(certificate_to_dict(certify_nonplanar(petersen_graph()))))
+cert = certificate_from_dict(doc)
+assert check_certificate(cert, cert.complex).valid
+print("numpy" in sys.modules)
+"""
+
+
+def test_runtime_never_imports_numpy():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
