@@ -36,7 +36,7 @@ from .intlinalg import (
     check_certificate,
     solve_integer,
 )
-from .tableaux import Numbering, Partition, straighten
+from .tableaux import Partition, Rows, straighten
 
 __all__ = [
     "CanonicalSeed",
@@ -160,9 +160,6 @@ def seed_certificate(seed: CanonicalSeed) -> TorsionCertificate:
     return cert
 
 
-Rows = tuple[tuple[int, ...], ...]
-
-
 def _cascade_terms(rows: Rows, new_label: int) -> list[tuple[int, Rows]]:
     """Rewrite (broken-edge filling + appended new-vertex box) so the new
     vertex reaches the top row.
@@ -224,11 +221,7 @@ def _lift_onto(
     shape = Partition.two_column(target.n, cert.shape.two_column_rows())
     complex = build_restricted_complex(target, shape)
     try:
-        h = straighten(
-            [(Numbering(rows), coeff) for rows, coeff in terms],
-            [f for _, _, f in complex.basis1],
-            frozen_rows=1,
-        )
+        h = straighten(terms, [f for _, _, f in complex.basis1], frozen_rows=1)
     except StraighteningStalled as exc:
         raise LiftFailed(f"{stage}: {exc}") from exc
     return _finish_lift(complex, h, cert.prime, stage)
@@ -237,7 +230,7 @@ def _lift_onto(
 def _cycle_rows(cert: TorsionCertificate) -> list[tuple[Rows, int]]:
     """The certificate's cycle as (filling rows, coefficient) terms."""
     basis1 = _complex_of(cert).basis1
-    return [(basis1[col][2].rows, coeff) for col, coeff in enumerate(cert.h) if coeff]
+    return [(basis1[col][2], coeff) for col, coeff in enumerate(cert.h) if coeff]
 
 
 def lift_subdivision(

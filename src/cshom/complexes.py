@@ -24,8 +24,10 @@ from .intlinalg import mat_mul
 from .tableaux import (
     Numbering,
     Partition,
+    Rows,
     enumerate_ssyt,
     enumerate_syt,
+    numbering_key,
     standardize,
     straighten,
     straighten_columns,
@@ -38,18 +40,19 @@ __all__ = ["RestrictedComplex", "build_restricted_complex"]
 class RestrictedComplex:
     """Chain data of one graph at one two-column shape.
 
-    basis1 rows are (edge_index, copy, filling) and basis2 rows are
-    ((i, j), copy, filling); indices are 1-based to match the generator
-    names X_i^j and W_{i,j}^l used in reports and certificates.  d1 and d2
-    are tuples of rows, each row a tuple of Python ints; d1 is
+    basis0 holds the standard Numberings.  basis1 rows are (edge_index,
+    copy, filling) and basis2 rows are ((i, j), copy, filling), each filling
+    a plain row tuple; indices are 1-based to match the generator names
+    X_i^j and W_{i,j}^l used in reports and certificates.  d1 and d2 are
+    tuples of rows, each row a tuple of Python ints; d1 is
     |basis0| x |basis1|, d2 is |basis1| x |basis2|.
     """
 
     graph: Graph
     shape: Partition
     basis0: tuple[Numbering, ...]
-    basis1: tuple[tuple[int, int, Numbering], ...]
-    basis2: tuple[tuple[tuple[int, int], int, Numbering], ...]
+    basis1: tuple[tuple[int, int, Rows], ...]
+    basis2: tuple[tuple[tuple[int, int], int, Rows], ...]
     d1: tuple[tuple[int, ...], ...]
     d2: tuple[tuple[int, ...], ...]
 
@@ -72,8 +75,7 @@ class RestrictedComplex:
         return len(self.basis2), len(self.basis1), len(self.basis0)
 
 
-def _standard_below(nb: Numbering, frozen_rows: int) -> bool:
-    rows = nb.rows
+def _standard_below(rows: Rows, frozen_rows: int) -> bool:
     for r in range(frozen_rows, len(rows)):
         if any(rows[r][c] >= rows[r][c + 1] for c in range(len(rows[r]) - 1)):
             return False
@@ -83,10 +85,9 @@ def _standard_below(nb: Numbering, frozen_rows: int) -> bool:
     return True
 
 
-def degree1_basis(
-    g: Graph, shape: Partition
-) -> tuple[tuple[int, int, Numbering], ...]:
-    """Degree-1 basis rows (edge_index, copy, filling) of g at the shape.
+def degree1_basis(g: Graph, shape: Partition) -> tuple[tuple[int, int, Rows], ...]:
+    """Degree-1 basis rows (edge_index, copy, filling) of g at the shape,
+    each filling a plain row tuple.
 
     Requires a canonical (sorted, loop-free) graph and a two-column shape
     with k >= 1 length-2 rows summing to n.  Each edge contributes one
@@ -108,19 +109,19 @@ def degree1_basis(
 
     mu = Partition((2,) + (1,) * (g.n - 2))
     t0 = Numbering(((1, 2),) + tuple((v,) for v in range(3, g.n + 1)))
-    template = [standardize(z, t0) for z in enumerate_ssyt(shape, mu)]
+    template = [standardize(z, t0).rows for z in enumerate_ssyt(shape, mu)]
     for x in template:
-        if x.rows[0] != (1, 2):
-            raise AssertionError(f"filling {x.rows!r} does not start with (1, 2)")
+        if x[0] != (1, 2):
+            raise AssertionError(f"filling {x!r} does not start with (1, 2)")
         if not _standard_below(x, 1):
-            raise AssertionError(f"filling {x.rows!r} is not standard below the edge")
-    if sorted(template, key=Numbering.key) != template:
+            raise AssertionError(f"filling {x!r} is not standard below the edge")
+    if sorted(template, key=numbering_key) != template:
         raise AssertionError("edge block must be listed in ascending order")
-    basis1: list[tuple[int, int, Numbering]] = []
+    basis1: list[tuple[int, int, Rows]] = []
     for i, (a, b) in enumerate(g.edges, start=1):
         label = (0, a, b) + tuple(v for v in range(1, g.n + 1) if v != a and v != b)
         basis1.extend(
-            (i, j, Numbering(tuple(tuple(label[v] for v in row) for row in x.rows)))
+            (i, j, tuple(tuple(label[v] for v in row) for row in x))
             for j, x in enumerate(template, start=1)
         )
     return tuple(basis1)
@@ -152,7 +153,7 @@ def build_restricted_complex(g: Graph, shape: Partition) -> RestrictedComplex:
     d1_cols = straighten_columns(fillings1, basis0)
     d1 = tuple(zip(*d1_cols)) if d1_cols else ((),) * len(basis0)
 
-    basis2: list[tuple[tuple[int, int], int, Numbering]] = []
+    basis2: list[tuple[tuple[int, int], int, Rows]] = []
     d2_rows: list[list[int]] = [[] for _ in basis1]
     if k >= 2:
         noncons, _ = edge_pairs_by_type(g)
@@ -167,23 +168,20 @@ def build_restricted_complex(g: Graph, shape: Partition) -> RestrictedComplex:
             for l, pat in enumerate(w_patterns, start=1):
                 rest = tuple(tuple(singles[v - 3] for v in row) for row in pat[2:])
                 col = len(basis2)
-                basis2.append(((i0 + 1, j0 + 1), l, Numbering((ei, ej) + rest)))
+                basis2.append(((i0 + 1, j0 + 1), l, (ei, ej) + rest))
                 for top, f, b0, sign in ((ej, ei, j0, 1), (ei, ej, i0, -1)):
                     key = (tuple(v - 1 - (v > top[0]) - (v > top[1]) for v in f), l)
                     if key not in table:
                         block = fillings1[b0 * kcopies : (b0 + 1) * kcopies]
-                        w = Numbering((top, f) + rest)
-                        table[key] = straighten(w, block, frozen_rows=1)
+                        table[key] = straighten((top, f) + rest, block, frozen_rows=1)
                     for s, v in enumerate(table[key]):
                         d2_rows[b0 * kcopies + s][col] = sign * v
     d2 = tuple(map(tuple, d2_rows))
 
-    if basis2:
-        prod = mat_mul(d1, d2)
-        if any(x for row in prod for x in row):
-            raise ComplexNotExact(
-                f"d1 d2 != 0 for graph {g.edges!r} at shape {shape.parts!r}"
-            )
+    if basis2 and any(map(any, mat_mul(d1, d2))):
+        raise ComplexNotExact(
+            f"d1 d2 != 0 for graph {g.edges!r} at shape {shape.parts!r}"
+        )
 
     return RestrictedComplex(
         graph=g,

@@ -7,12 +7,13 @@ no matter the size, and the module needs only the standard library.
 Products (mat_mul, mat_vec) run over nonzeros.  The SNF eliminates on
 Python-int row lists and skips every row whose quotient is 0, so its cost
 follows the nonzeros it touches.  Kernels, homology and integer solves share
-one sparse elimination of unit pivots on a Python-int copy of the matrix, so
-the SNF sees only the residual: a kernel basis takes the residual's kernel
-from its SNF and back-substitutes the pivot columns, homology reads its
-invariants off the residual's SNF, and a solve carries the right-hand side
-through the same row operations, solves the residual system through its
-SNF transforms and back-substitutes the pivot rows.
+one sparse elimination of unit pivots on a Python-int copy of the matrix,
+taking rows in order of their nonzero count, so the SNF sees only the
+residual: a kernel basis takes the residual's kernel from its SNF and
+back-substitutes the pivot columns, homology reads its invariants off the
+residual's SNF, and a solve carries the right-hand side through the same
+row operations, solves the residual system through its SNF transforms and
+back-substitutes the pivot rows.
 """
 
 from __future__ import annotations
@@ -78,10 +79,11 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     U and V are unimodular; S is diagonal with nonnegative entries, each
     dividing the next.
 
-    The elimination is pinned, not just correct: U and V decide the kernel
-    columns of kernel_basis and solve_integer's x, which certificate
-    documents store as witness_x.  At step k the pivot is the first entry of
-    least |value| in row-major order of the trailing block.  Its column is
+    The elimination is pinned, not just correct: on the residual that the
+    row-length-ordered unit elimination (_eliminate) leaves, U and V decide
+    the kernel columns of kernel_basis and solve_integer's x, which
+    certificate documents store as witness_x.  At step k the pivot is the
+    first entry of least |value| in row-major order of the trailing block.  Its column is
     then cleared by row operations with floor quotients and its row by
     column operations; each time a nonzero remainder is left, the first one
     of least |value| is swapped into the pivot.  When the pivot does not
@@ -157,19 +159,19 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 def kernel_basis(m: Matrix) -> list[list[int]]:
     """Basis of the integer kernel lattice of m, as a list of columns.
 
-    Route: the +-1 pivots are eliminated from a sparse copy of m (row
-    operations keep the kernel).  Every column that is neither a pivot nor
-    a residual column is free and gives a unit generator, listed first in
-    column order; the kernel columns of the residual's SNF V follow.  The
-    pivot coordinates are then fixed by back-substitution in reverse
-    elimination order, composed once into a map from the non-pivot
-    columns.  Projecting the kernel onto the non-pivot coordinates is a
+    Route: the +-1 pivots are eliminated from a sparse copy of m, rows
+    taken in order of their nonzero count (see _eliminate; row operations
+    keep the kernel).  Every column that is neither a pivot nor a residual
+    column is free and gives a unit generator, listed first in column
+    order; the kernel columns of the residual's SNF V follow.  The pivot
+    coordinates are then fixed by back-substitution in reverse elimination
+    order, composed once into a map from the non-pivot columns.  Projecting the kernel onto the non-pivot coordinates is a
     bijection onto Z^free (+) ker(residual), and V is unimodular, so the
     columns generate the full, saturated kernel lattice.  Each column's
     first nonzero entry is positive for deterministic output.
     """
     _, c = _dims(m)
-    pivots, rows = _eliminate(m)
+    pivots, rows = _eliminate(_sparse_rows(m))
     _, live, residual = _residual(rows)
     bound = {j for _, j, _ in pivots}.union(live)
     gens: list[dict[int, int]] = [{j: 1} for j in range(c) if j not in bound]
@@ -211,26 +213,36 @@ def kernel_basis(m: Matrix) -> list[list[int]]:
     return out
 
 
+def _sparse_rows(m: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+    """Each row of m as {column: value} over its nonzeros, in Python ints."""
+    return [{j: int(row[j]) for j in compress(range(len(row)), row)} for row in m]
+
+
+def _sparse_product(a: Matrix, b_rows: list[dict[int, int]], cb: int) -> Matrix:
+    """a times the cb-column matrix whose rows are b_rows: every row of the
+    product accumulates over the nonzeros of a's row."""
+    out = []
+    for row in a:
+        acc = [0] * cb
+        for k in compress(range(len(row)), row):
+            x = int(row[k])
+            for j, y in b_rows[k].items():
+                acc[j] += x * y
+        out.append(acc)
+    return out
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact matrix product in Python ints.  Operands are row lists or row
-    tuples of ints (numpy integers included).  Each row of b is indexed by
-    its nonzeros once, and every row of the product accumulates over the
-    nonzeros of a's row, so the cost follows the nonzero counts, not the
-    dense size, and no entry can overflow."""
+    tuples of ints (numpy integers included).  b is read into sparse rows
+    once and the product runs over nonzeros (_sparse_product), so the cost
+    follows the nonzero counts, not the dense size, and no entry can
+    overflow."""
     ra, ca = _dims(a)
     rb, cb = _dims(b)
     if ca != rb:
         raise ValueError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    b_rows = [[(j, int(row[j])) for j in compress(range(cb), row)] for row in b]
-    out = []
-    for row in a:
-        acc = [0] * cb
-        for k in compress(range(ca), row):
-            x = int(row[k])
-            for j, y in b_rows[k]:
-                acc[j] += x * y
-        out.append(acc)
-    return out
+    return _sparse_product(a, _sparse_rows(b), cb)
 
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:
@@ -268,66 +280,55 @@ class HomologyResult:
         return any(f % 2 == 0 for f in self.invariant_factors)
 
 
-def _cheapest_unit(
-    row: dict[int, int], cols: dict[int, set[int]]
-) -> Optional[tuple[int, int]]:
-    """(Markowitz cost, column) of the row's +-1 entry in the sparsest
-    column, or None when the row has no +-1 entry."""
-    best = None
-    for j, v in row.items():
-        if v == 1 or v == -1:
-            count = len(cols[j])
-            if best is None or count < best[1]:
-                best = (j, count)
-                if count == 1:
-                    break
-    if best is None:
-        return None
-    return (len(row) - 1) * (best[1] - 1), best[0]
-
-
 def _eliminate(
-    m: Sequence[Sequence[int]], rhs: Optional[list[int]] = None
+    m_rows: list[dict[int, int]], rhs: Optional[list[int]] = None
 ) -> Optional[tuple[list[tuple[int, int, dict[int, int]]], dict[int, dict[int, int]]]]:
-    """Eliminate +-1 pivots from a sparse copy of m.
+    """Eliminate +-1 pivots from m_rows, the sparse rows of a matrix m (see
+    _sparse_rows).  The row dicts are updated in place.
 
     Returns (pivots, rows).  pivots lists each pivot as (row index, column,
     row entries) in elimination order; a pivot row leaves the elimination
     when it is chosen, so its entries are frozen there.  rows maps each
     residual row index to its nonzero entries, none of them +-1 once the
     loop ends.  Each step is unimodular, so SNF(m) = I_p (+) SNF(residual).
-    Pivots go by least Markowitz cost (row nnz - 1)(column nnz - 1).  Rows
-    wait in a heap keyed by the cost of their cheapest unit entry; a key may
-    be stale, so a popped row whose cost has grown is pushed back at its
-    current cost, and each row an elimination changes is pushed anew.
+
+    Pivots go by row length.  Rows wait in a heap keyed by their nonzero
+    count, ties by row index; a popped row whose count has changed since it
+    was pushed goes back at its current count.  Only then is its pivot
+    chosen: the first +-1 entry, in row order, of the column with fewest
+    nonzeros.  A row with no +-1 entry is set aside until an elimination
+    changes it and puts it back on the heap.
 
     When rhs is given, every row operation is applied to it in place, and
     the result is None as soon as a row that is or has become zero has a
     nonzero rhs entry: m x = rhs then has no solution.
     """
-    width = len(m[0]) if m else 0
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for i, row in enumerate(m):
-        nz = list(compress(range(width), row))
-        if nz:
-            rows[i] = {j: int(row[j]) for j in nz}
-            for j in nz:
+    for i, row in enumerate(m_rows):
+        if row:
+            rows[i] = row
+            for j in row:
                 cols.setdefault(j, set()).add(i)
         elif rhs is not None and rhs[i]:
             return None
-    heap = [(0, i) for i in rows]  # 0 bounds every cost; sorted, so a heap
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(heap)
+    aside: set[int] = set()
     pivots: list[tuple[int, int, dict[int, int]]] = []
     while heap:
-        cost, i = heapq.heappop(heap)
+        count, i = heapq.heappop(heap)
         row = rows.get(i)
-        unit = None if row is None else _cheapest_unit(row, cols)
-        if unit is None:
+        if row is None:
             continue
-        if unit[0] > cost:
-            heapq.heappush(heap, (unit[0], i))
+        if len(row) != count:
+            heapq.heappush(heap, (len(row), i))
             continue
-        j = unit[1]
+        units = [jj for jj, v in row.items() if v == 1 or v == -1]
+        j = min(units, key=lambda jj: len(cols[jj]), default=None)
+        if j is None:
+            aside.add(i)
+            continue
         p = row[j]
         pivots.append((i, j, row))
         del rows[i]
@@ -351,10 +352,9 @@ def _eliminate(
                 if rhs is not None and rhs[t]:
                     return None
                 del rows[t]
-                continue
-            unit = _cheapest_unit(target, cols)
-            if unit is not None:
-                heapq.heappush(heap, (unit[0], t))
+            elif t in aside:
+                aside.discard(t)
+                heapq.heappush(heap, (len(target), t))
         del cols[j]
     return pivots, rows
 
@@ -366,21 +366,14 @@ def _residual(rows: dict[int, dict[int, int]]) -> tuple[list[int], list[int], Ma
     return ids, live, [[rows[i].get(j, 0) for j in live] for i in ids]
 
 
-def _unit_pivot_reduce(m: Matrix) -> tuple[int, Matrix]:
-    """The number p of +-1 pivots eliminated from m, and the residual: the
-    nonzero rows and columns left once no entry is +-1.
-    SNF(m) = I_p (+) SNF(residual)."""
-    pivots, rows = _eliminate(m)
-    return len(pivots), _residual(rows)[2]
-
-
 def solve_integer(m: Matrix, b: Sequence[int]) -> Optional[list[int]]:
     """Some integer solution of m x = b, or None iff b is outside the
     column span.
 
-    Route: +-1 pivots are eliminated from a sparse copy of m, each row
-    operation applied to b as well; a row that is or becomes zero with a
-    nonzero right-hand side ends the solve with None.  The residual system
+    Route: +-1 pivots are eliminated from a sparse copy of m, rows taken in
+    order of their nonzero count (see _eliminate), each row operation
+    applied to b as well; a row that is or becomes zero with a nonzero
+    right-hand side ends the solve with None.  The residual system
     R y = b_R is solved through its SNF with transforms (U R V = S: S z =
     U b_R entrywise, y = V z).  Columns that are neither pivot nor residual
     columns are set to 0.  Last, the pivot rows are back-substituted in
@@ -392,7 +385,7 @@ def solve_integer(m: Matrix, b: Sequence[int]) -> Optional[list[int]]:
     if len(b) != rows:
         raise ValueError(f"rhs length {len(b)} != {rows} rows")
     rhs = [int(v) for v in b]
-    reduced = _eliminate(m, rhs)
+    reduced = _eliminate(_sparse_rows(m), rhs)
     if reduced is None:
         return None
     pivots, left = reduced
@@ -420,11 +413,12 @@ def homology_group(d1: Matrix, d2: Matrix) -> HomologyResult:
 
     C1 / ker d1 embeds in the free group C0, so ker d1 is a direct summand
     of C1 and the torsion of H1 = ker d1 / im d2 is the torsion of
-    coker d2.  Route: the kernel rank of d1, counted off kernel_basis (the
-    same sparse elimination, so only d1's residual, often empty, reaches an
-    SNF), then +-1 pivots eliminated from a sparse copy of d2 (unimodular
-    steps, so SNF(d2) = I_p (+) SNF(residual)), then the SNF of the
-    residual alone.
+    coker d2.  Route: d2 is read into sparse rows once; those rows serve
+    the d1 d2 = 0 product and then the elimination.  The kernel rank of d1
+    is counted off kernel_basis (the same sparse elimination, so only d1's
+    residual, often empty, reaches an SNF); +-1 pivots are eliminated from
+    d2's rows in order of their nonzero count (unimodular steps, so
+    SNF(d2) = I_p (+) SNF(residual)), then the SNF of the residual alone.
     betti = ker dim - rank d2; invariant factors are the residual's
     diagonal entries above 1.
 
@@ -434,18 +428,18 @@ def homology_group(d1: Matrix, d2: Matrix) -> HomologyResult:
     r2, c2 = _dims(d2)
     if c1 != r2:
         raise ValueError(f"shape mismatch: d1 is {r1}x{c1}, d2 is {r2}x{c2}")
-    if c1 and c2:
-        prod = mat_mul(d1, d2)
-        if any(x for row in prod for x in row):
-            raise ComplexNotExact("d1 composed with d2 is nonzero")
+    d2_rows = _sparse_rows(d2)
+    if c1 and c2 and any(map(any, _sparse_product(d1, d2_rows, c2))):
+        raise ComplexNotExact("d1 composed with d2 is nonzero")
     kdim = len(kernel_basis(d1))
-    pivots, residual = _unit_pivot_reduce(d2)
+    pivots, rows = _eliminate(d2_rows)
+    residual = _residual(rows)[2]
     diag = []
     if residual:
         S, _, _ = smith_normal_form(residual)
         diag = [S[i][i] for i in range(min(len(S), len(S[0])))]
     return HomologyResult(
-        betti=kdim - pivots - sum(1 for d in diag if d),
+        betti=kdim - len(pivots) - sum(1 for d in diag if d),
         invariant_factors=tuple(d for d in diag if d > 1),
     )
 

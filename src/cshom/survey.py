@@ -126,7 +126,7 @@ def _cache_dir(override: Optional[str]) -> Path:
     return Path.home() / ".cache" / "cshom"
 
 
-_CACHE_VERSION = "cshom-survey/2"
+_CACHE_VERSION = "cshom-survey/3"
 
 
 def _cache_path(base: Path, graph6: str) -> Path:

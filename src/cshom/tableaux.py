@@ -382,16 +382,25 @@ def _violation(
 
 
 Rows = tuple[tuple[int, ...], ...]
-TermsLike = Union[Numbering, NumberingVector, Iterable[tuple[Numbering, int]]]
+Term = Union[Numbering, Rows]
+TermsLike = Union[Term, NumberingVector, Iterable[tuple[Term, int]]]
 
 STRAIGHTEN_STEP_LIMIT = 1_000_000
 
 
+def _rows(t: Term) -> Rows:
+    return t.rows if isinstance(t, Numbering) else t
+
+
 def straighten_columns(
-    vs: Sequence[TermsLike], basis: Sequence[Numbering], frozen_rows: int = 0
+    vs: Sequence[TermsLike], basis: Sequence[Term], frozen_rows: int = 0
 ) -> list[list[int]]:
     """Integer coefficients of each of vs over basis, by exchange-relation
     rewriting with one memo shared by all of them.
+
+    A filling, as a term, an entry of vs or a basis entry, is a Numbering
+    or its plain row tuple; row tuples are taken as they are, unvalidated,
+    so fillings the program built itself need no Numbering.
 
     Rows above frozen_rows are never touched; each rewrite step takes the
     topmost violating row pair below the frozen prefix, the rightmost
@@ -412,10 +421,10 @@ def straighten_columns(
     leaves included.
     """
     index: dict[Rows, int] = {}
-    for pos, b in enumerate(basis):
-        if b.rows in index:
-            raise ValueError(f"duplicate basis entry: {b.rows!r}")
-        index[b.rows] = pos
+    for pos, b in enumerate(map(_rows, basis)):
+        if b in index:
+            raise ValueError(f"duplicate basis entry: {b!r}")
+        index[b] = pos
 
     memo: dict[Rows, dict[int, int]] = {}
     pending: dict[Rows, list[tuple[int, Rows]]] = {}
@@ -475,12 +484,16 @@ def straighten_columns(
 
     out = []
     for v in vs:
-        pairs = [(v, 1)] if isinstance(v, Numbering) else list(v)
+        # a lone filling is a Numbering or a row tuple, whose first row
+        # starts with an int; anything else is (filling, coefficient) pairs
+        lone = isinstance(v, Numbering) or (
+            isinstance(v, tuple) and v and isinstance(v[0][0], int)
+        )
         column = [0] * len(basis)
-        for nb, c in pairs:
+        for t, c in [(v, 1)] if lone else v:
             if not c:
                 continue
-            sgn, canon = _canonical_rows(nb.rows, frozen_rows)
+            sgn, canon = _canonical_rows(_rows(t), frozen_rows)
             for pos, x in settle(canon).items():
                 column[pos] += c * sgn * x
         out.append(column)
@@ -488,7 +501,7 @@ def straighten_columns(
 
 
 def straighten(
-    v: TermsLike, basis: Sequence[Numbering], frozen_rows: int = 0
+    v: TermsLike, basis: Sequence[Term], frozen_rows: int = 0
 ) -> list[int]:
     """Integer coefficients of v over basis: straighten_columns([v], basis,
     frozen_rows)[0], which documents the rewrite and its errors."""

@@ -150,11 +150,11 @@ def reference_degree1_basis(g, shape):
         for x in block:
             if x.rows[0] != e:
                 raise AssertionError(f"filling {x.rows!r} does not start with {e!r}")
-            if not _standard_below(x, 1):
+            if not _standard_below(x.rows, 1):
                 raise AssertionError(f"filling {x.rows!r} is not standard below the edge")
         if [x.rows for x in sorted(block, key=Numbering.key)] != [x.rows for x in block]:
             raise AssertionError("edge block must be listed in ascending order")
-        basis1.extend((i, j, x) for j, x in enumerate(block, start=1))
+        basis1.extend((i, j, x.rows) for j, x in enumerate(block, start=1))
     return tuple(basis1)
 
 
@@ -190,7 +190,7 @@ def reference_build_restricted_complex(g, shape):
                     raise AssertionError(
                         f"pair filling {w.rows!r} does not start with {ei!r}, {ej!r}"
                     )
-                basis2.append(((i0 + 1, j0 + 1), l, w))
+                basis2.append(((i0 + 1, j0 + 1), l, w.rows))
                 col = [0] * len(basis1)
                 kept_j = Numbering((w.rows[1], w.rows[0]) + w.rows[2:])
                 for s, v in enumerate(straighten(kept_j, block_j, frozen_rows=1)):

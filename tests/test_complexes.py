@@ -37,7 +37,7 @@ def test_k5_dimensions_and_block_layout():
         cols = [col for col, (ei, _, _) in enumerate(c.basis1) if ei == i]
         assert cols == [2 * (i - 1), 2 * (i - 1) + 1]
         for col in cols:
-            assert c.basis1[col][2].rows[0] == e
+            assert c.basis1[col][2][0] == e
 
 
 def test_k5_matches_group_algebra_oracle():

@@ -17,7 +17,9 @@ from cshom.graphs import complete_bipartite, complete_graph, petersen_graph
 from cshom.intlinalg import (
     HomologyResult,
     _dims,
-    _unit_pivot_reduce,
+    _eliminate,
+    _residual,
+    _sparse_rows,
     homology_group,
     kernel_basis,
     mat_mul,
@@ -565,6 +567,14 @@ def test_homology_group_matches_reference_without_d2_columns():
         assert homology_group(d1, d2) == reference_homology(d1, d2)
 
 
+def _unit_pivot_reduce(m):
+    """The number p of +-1 pivots eliminated from m, and the residual: the
+    nonzero rows and columns left once no entry is +-1.
+    SNF(m) = I_p (+) SNF(residual)."""
+    pivots, rows = _eliminate(_sparse_rows(m))
+    return len(pivots), _residual(rows)[2]
+
+
 def test_unit_pivots_split_off_the_smith_form():
     # SNF(m) = I_p (+) SNF(residual), also when the residual keeps entries past 2^28
     rng = random.Random(17)
@@ -611,14 +621,59 @@ _GRAPH_CORPUS = [
 ]
 
 
+# plus the larger inputs of the residual gate below
+_HOMOLOGY_CORPUS = _GRAPH_CORPUS + [
+    ("K10", lambda: complete_graph(10), 3),
+    ("heawood", heawood_graph, 2),
+    ("heawood", heawood_graph, 3),
+]
+
+
 @pytest.mark.parametrize(
-    "name,make,k", _GRAPH_CORPUS, ids=[f"{name}-k{k}" for name, _, k in _GRAPH_CORPUS]
+    "name,make,k", _HOMOLOGY_CORPUS, ids=[f"{name}-k{k}" for name, _, k in _HOMOLOGY_CORPUS]
 )
 def test_homology_group_matches_reference_on_graph_corpus(name, make, k):
     g = make()
     c = build_restricted_complex(g, Partition.two_column(g.n, k))
     d1, d2 = [list(r) for r in c.d1], [list(r) for r in c.d2]
     assert homology_group(d1, d2) == reference_homology(d1, d2)
+
+
+# the unit elimination of d2 under the row-length pivot order: (pivots,
+# residual rows, residual columns).  The residual is what reaches the dense
+# SNF, so a pivot rule that leaves more of d2 there fails here; the homology
+# of every input is judged by the reference route above.
+_K33 = (1, 2, 3), (4, 5, 6)
+_RESIDUAL_GATE = [
+    ("K5", lambda: complete_graph(5), 1, (0, 0, 0)),
+    ("K5", lambda: complete_graph(5), 2, (14, 3, 1)),
+    ("K3,3", lambda: complete_bipartite(*_K33), 1, (0, 0, 0)),
+    ("K3,3", lambda: complete_bipartite(*_K33), 2, (17, 6, 1)),
+    ("K3,3", lambda: complete_bipartite(*_K33), 3, (12, 0, 0)),
+    ("petersen", petersen_graph, 2, (69, 5, 3)),
+    ("petersen", petersen_graph, 3, (225, 0, 0)),
+    ("petersen", petersen_graph, 4, (330, 0, 0)),
+    ("petersen", petersen_graph, 5, (168, 0, 0)),
+    ("K8", lambda: complete_graph(8), 2, (119, 4, 35)),
+    ("K8", lambda: complete_graph(8), 3, (224, 0, 0)),
+    ("K8", lambda: complete_graph(8), 4, (126, 0, 0)),
+    ("K10", lambda: complete_graph(10), 2, (279, 4, 126)),
+    ("K10", lambda: complete_graph(10), 3, (825, 0, 0)),
+    ("heawood", heawood_graph, 2, (153, 12, 5)),
+    ("heawood", heawood_graph, 3, (861, 0, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,make,k,pinned", _RESIDUAL_GATE,
+    ids=[f"{name}-k{k}" for name, _, k, _ in _RESIDUAL_GATE],
+)
+def test_d2_residual_is_pinned(name, make, k, pinned):
+    g = make()
+    c = build_restricted_complex(g, Partition.two_column(g.n, k))
+    pivots, rows = _eliminate(_sparse_rows(c.d2))
+    ids, live, _ = _residual(rows)
+    assert (len(pivots), len(ids), len(live)) == pinned
 
 
 def _saturated(cols):

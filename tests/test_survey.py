@@ -198,17 +198,19 @@ def test_survey_one_reuses_scan_complex_for_certificate(monkeypatch):
 
 def test_run_survey_recomputes_entries_of_an_older_cache_version(tmp_path):
     # a row cached under cshom-survey/1 holds a witness from the dense-SNF
-    # solve; it must be recomputed, never served
+    # solve, one under /2 a witness from the Markowitz pivot order; both
+    # must be recomputed, never served
     cache = tmp_path / "cache"
     cache.mkdir()
     g6 = to_graph6(complete_graph(5))
-    stale = hashlib.sha256(f"cshom-survey/1|{g6}".encode()).hexdigest()[:24]
     bogus = {"id": g6, "n": 5, "m": 10, "planar": True, "shapes": [],
              "has_z2": False, "certificate": None, "runtime_s": 0.0, "error": None}
-    (cache / f"{stale}.json").write_text(
-        json.dumps({"record": bogus, "certificate_doc": None}) + "\n"
-    )
+    for version in ("cshom-survey/1", "cshom-survey/2"):
+        stale = hashlib.sha256(f"{version}|{g6}".encode()).hexdigest()[:24]
+        (cache / f"{stale}.json").write_text(
+            json.dumps({"record": bogus, "certificate_doc": None}) + "\n"
+        )
     [record] = run_survey([g6], cache_dir=str(cache))
     assert record != bogus
     assert record["planar"] is False and record["has_z2"] is True
-    assert len(list(cache.glob("*.json"))) == 2
+    assert len(list(cache.glob("*.json"))) == 3

@@ -282,16 +282,22 @@ def test_numbering_vector_accumulates_canonical_terms():
     assert v == {numbering((1, 2), (3, 4), (5,)): 3}
 
 
+def _as_numbering(t):
+    return t if isinstance(t, Numbering) else Numbering(t)
+
+
 def reference_straighten(v, basis, frozen_rows=0):
     """The Numbering-based rewrite that straighten replaced, kept as its
-    oracle: every step builds a Numbering and canonicalizes it."""
+    oracle: every step builds a Numbering and canonicalizes it.  Fillings
+    given as row tuples are made Numberings first."""
     index: dict[Numbering, int] = {}
-    for pos, b in enumerate(basis):
+    for pos, b in enumerate(map(_as_numbering, basis)):
         if b in index:
             raise ValueError(f"duplicate basis entry: {b.rows!r}")
         index[b] = pos
 
-    pairs = [(v, 1)] if isinstance(v, Numbering) else list(v)
+    lone = isinstance(v, Numbering) or (isinstance(v, tuple) and isinstance(v[0][0], int))
+    pairs = [(_as_numbering(t), c) for t, c in ([(v, 1)] if lone else v)]
 
     out = [0] * len(basis)
     work: list[tuple[int, Numbering]] = []
@@ -340,13 +346,13 @@ def test_straighten_matches_reference_on_every_pipeline_call(monkeypatch):
             mismatches.append((v, frozen_rows))
 
     def checked(v, basis, frozen_rows=0):
-        v = v if isinstance(v, Numbering) else list(v)
+        v = v if isinstance(v, (Numbering, tuple)) else list(v)
         got = straighten(v, basis, frozen_rows)
         check(v, got, basis, frozen_rows)
         return got
 
     def checked_columns(vs, basis, frozen_rows=0):
-        vs = [v if isinstance(v, Numbering) else list(v) for v in vs]
+        vs = [v if isinstance(v, (Numbering, tuple)) else list(v) for v in vs]
         got = straighten_columns(vs, basis, frozen_rows)
         for v, column in zip(vs, got):
             check(v, column, basis, frozen_rows)
@@ -445,10 +451,12 @@ def test_straighten_columns_matches_straighten_on_complex_blocks():
     ]
     # d2 block parts: pair fillings over the block of their top edge
     block = fillings1[: c.copies1]
-    top = block[0].rows[0]
-    pairs = [w.rows for _, _, w in c.basis2 if w.rows[0] == top]
+    top = block[0][0]
+    pairs = [w for _, _, w in c.basis2 if w[0] == top]
     assert len(pairs) > 10
-    vs = [Numbering(rows) for rows in pairs] + [[(Numbering(r), 2) for r in pairs]]
+    # fillings as row tuples and as Numberings, alone and as weighted terms
+    vs = pairs + [Numbering(rows) for rows in pairs]
+    vs += [[(r, 2) for r in pairs], [(Numbering(r), 2) for r in pairs]]
     assert straighten_columns(vs, block, frozen_rows=1) == [
         straighten(v, block, frozen_rows=1) for v in vs
     ]
