@@ -8,6 +8,7 @@ sorted; `Graph` itself also tolerates loops and duplicate edges so that
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -337,37 +338,46 @@ class SubdivisionWitness:
 
 
 def _paths_between(
-    adj: dict[int, set[int]],
+    nbrs: dict[int, list[int]],
     start: int,
     goal: int,
     blocked: set[int],
-    max_len: int,
 ) -> Iterator[tuple[int, ...]]:
-    """Simple paths start->goal avoiding ``blocked`` internally, short first."""
-    for target_len in range(1, max_len + 1):
+    """Simple paths start->goal avoiding ``blocked`` internally, short first,
+    then in depth-first order (``nbrs`` lists neighbours descending).
+
+    dist(v), from one breadth-first pass out of ``goal`` through unblocked
+    vertices, bounds below the edges a path still needs from v.  So the
+    search ends at once when ``start`` cannot reach ``goal``, begins at
+    length dist(start), and drops a prefix of l edges at v once l + dist(v)
+    exceeds the target length: such a prefix extends to no path of that
+    length, so the paths and their order are unchanged.
+    """
+    dist = {goal: 0}
+    queue = [goal]
+    for v in queue:
+        for w in nbrs[v]:
+            if w not in dist and w not in blocked:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    max_len = len(nbrs)
+    first = min((dist[w] for w in nbrs[start] if w in dist), default=max_len)
+    for target_len in range(first + 1, max_len + 1):
         stack = [(start, (start,))]
         while stack:
             v, path = stack.pop()
-            if len(path) - 1 > target_len:
-                continue
             if v == goal:
                 if len(path) - 1 == target_len:
                     yield path
                 continue
-            if len(path) - 1 == target_len:
-                continue
-            for w in sorted(adj[v], reverse=True):
-                if w in path:
-                    continue
-                if w != goal and (w in blocked):
-                    continue
-                stack.append((w, path + (w,)))
+            for w in nbrs[v]:
+                if w in dist and len(path) + dist[w] <= target_len and w not in path:
+                    stack.append((w, path + (w,)))
 
 
 def _complete_paths(
-    g: Graph, branch: tuple[int, ...], model: Sequence[tuple[int, int]]
+    nbrs: dict[int, list[int]], branch: tuple[int, ...], model: Sequence[Edge]
 ) -> tuple[tuple[int, ...], ...] | None:
-    adj = g.adjacency()
     branch_set = set(branch)
     used: set[int] = set()
     paths: list[tuple[int, ...]] = []
@@ -377,7 +387,7 @@ def _complete_paths(
             return True
         i, j = model[idx]
         u, v = branch[i], branch[j]
-        for path in _paths_between(adj, u, v, branch_set | used, g.n):
+        for path in _paths_between(nbrs, u, v, branch_set | used):
             interior = set(path[1:-1])
             used.update(interior)
             paths.append(path)
@@ -397,23 +407,33 @@ def _search_subdivision(g: Graph) -> SubdivisionWitness | None:
     function of the labelled graph alone.  Exponential in the worst case and
     on every planar input, so only `find_kuratowski_subdivision` calls it,
     after `is_planar` has ruled planar input out.
+
+    Degree cut: a set is skipped unless each branch vertex b has deg_M(b)
+    (4 in K5, 3 in K3,3) edges to non-branch vertices or model neighbours,
+    the distinct first edges its paths need; for K5 that is degree >= 4.
+    A skipped set carries no subdivision, so the witness is unchanged.
     """
-    deg = g.degrees()
+    adj = g.adjacency()
+    nbrs = {v: sorted(adj[v], reverse=True) for v in adj}
     if g.m >= 10:
-        quads = sorted(v for v in deg if deg[v] >= 4)
+        quads = sorted(v for v in adj if len(adj[v]) >= 4)
         for branch in combinations(quads, 5):
-            paths = _complete_paths(g, branch, K5_MODEL_EDGES)
+            paths = _complete_paths(nbrs, branch, K5_MODEL_EDGES)
             if paths is not None:
                 return SubdivisionWitness("K5", branch, paths)
     if g.m >= 9:
-        cubs = sorted(v for v in deg if deg[v] >= 3)
-        for side_a in combinations(cubs, 3):
-            rest = [v for v in cubs if v not in side_a]
-            for side_b in combinations(rest, 3):
-                if side_b[0] < side_a[0]:
-                    continue  # unordered pair of sides: canonical orientation
+        cubs = sorted(v for v in adj if len(adj[v]) >= 3)
+
+        @cache
+        def fits(side: tuple[int, ...]) -> bool:
+            return all(len(adj[b].difference(side)) >= 3 for b in side)
+
+        for side_a in filter(fits, combinations(cubs, 3)):
+            # side_b > side_a at the first vertex: each pair of sides once
+            rest = [v for v in cubs if v > side_a[0] and v not in side_a]
+            for side_b in filter(fits, combinations(rest, 3)):
                 branch = side_a + side_b
-                paths = _complete_paths(g, branch, K33_MODEL_EDGES)
+                paths = _complete_paths(nbrs, branch, K33_MODEL_EDGES)
                 if paths is not None:
                     return SubdivisionWitness("K33", branch, paths)
     return None
@@ -424,9 +444,12 @@ def find_kuratowski_subdivision(g: Graph) -> SubdivisionWitness | None:
 
     Planarity is decided first by `is_planar` in polynomial time; only a
     non-planar graph reaches the exhaustive branch-set search, whose witness
-    depends on the labelled graph alone.  A search that comes back empty on
-    a graph the planarity test rejected is a defect and raises
-    AssertionError rather than returning None, which would read as planar.
+    depends on the labelled graph alone.  The search skips branch sets by a
+    degree count and path prefixes by a distance bound; both cuts drop only
+    what cannot lead to a witness, so the witness is the one the unpruned
+    search finds.  A search that comes back empty on a graph the planarity
+    test rejected is a defect and raises AssertionError rather than
+    returning None, which would read as planar.
     """
     if is_planar(g):
         return None

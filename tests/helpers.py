@@ -1,17 +1,23 @@
 """Test helpers shared by several test modules: an exact determinant, used
 only to judge the Smith normal form, graphs that recur across suites, the
 per-edge degree-1 basis and per-column complex build that judge
-degree1_basis and build_restricted_complex, and the numpy Smith normal form
-that judges smith_normal_form."""
+degree1_basis and build_restricted_complex, the unpruned Kuratowski search
+that judges _search_subdivision, and the numpy Smith normal form that
+judges smith_normal_form."""
 
 import random
+from itertools import combinations
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from cshom.complexes import RestrictedComplex, _standard_below
 from cshom.errors import ComplexNotExact
 from cshom.graphs import (
+    K5_MODEL_EDGES,
+    K33_MODEL_EDGES,
     Graph,
+    SubdivisionWitness,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -217,6 +223,86 @@ def reference_build_restricted_complex(g, shape):
         d1=d1,
         d2=d2,
     )
+
+
+def _reference_paths_between(
+    adj: dict[int, set[int]],
+    start: int,
+    goal: int,
+    blocked: set[int],
+    max_len: int,
+) -> Iterator[tuple[int, ...]]:
+    """Simple paths start->goal avoiding ``blocked`` internally, short first."""
+    for target_len in range(1, max_len + 1):
+        stack = [(start, (start,))]
+        while stack:
+            v, path = stack.pop()
+            if len(path) - 1 > target_len:
+                continue
+            if v == goal:
+                if len(path) - 1 == target_len:
+                    yield path
+                continue
+            if len(path) - 1 == target_len:
+                continue
+            for w in sorted(adj[v], reverse=True):
+                if w in path:
+                    continue
+                if w != goal and (w in blocked):
+                    continue
+                stack.append((w, path + (w,)))
+
+
+def _reference_complete_paths(
+    g: Graph, branch: tuple[int, ...], model: Sequence[tuple[int, int]]
+) -> tuple[tuple[int, ...], ...] | None:
+    adj = g.adjacency()
+    branch_set = set(branch)
+    used: set[int] = set()
+    paths: list[tuple[int, ...]] = []
+
+    def bt(idx: int) -> bool:
+        if idx == len(model):
+            return True
+        i, j = model[idx]
+        u, v = branch[i], branch[j]
+        for path in _reference_paths_between(adj, u, v, branch_set | used, g.n):
+            interior = set(path[1:-1])
+            used.update(interior)
+            paths.append(path)
+            if bt(idx + 1):
+                return True
+            paths.pop()
+            used.difference_update(interior)
+        return False
+
+    return tuple(paths) if bt(0) else None
+
+
+def reference_search_subdivision(g: Graph) -> SubdivisionWitness | None:
+    """The branch-set search that _search_subdivision replaced, verbatim,
+    kept as its oracle: the first K5 or K3,3 subdivision over branch sets
+    in lexicographic order, with no degree cut on branch sets and no
+    distance bound on paths; None when none exists."""
+    deg = g.degrees()
+    if g.m >= 10:
+        quads = sorted(v for v in deg if deg[v] >= 4)
+        for branch in combinations(quads, 5):
+            paths = _reference_complete_paths(g, branch, K5_MODEL_EDGES)
+            if paths is not None:
+                return SubdivisionWitness("K5", branch, paths)
+    if g.m >= 9:
+        cubs = sorted(v for v in deg if deg[v] >= 3)
+        for side_a in combinations(cubs, 3):
+            rest = [v for v in cubs if v not in side_a]
+            for side_b in combinations(rest, 3):
+                if side_b[0] < side_a[0]:
+                    continue  # unordered pair of sides: canonical orientation
+                branch = side_a + side_b
+                paths = _reference_complete_paths(g, branch, K33_MODEL_EDGES)
+                if paths is not None:
+                    return SubdivisionWitness("K33", branch, paths)
+    return None
 
 
 # int64 elimination restarts in exact mode once any entry reaches this

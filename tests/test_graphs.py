@@ -1,7 +1,11 @@
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
+import helpers
 from cshom import graphs
 from cshom.cli import main
 from cshom.graphs import (
@@ -26,6 +30,12 @@ from cshom.graphs import (
     to_graph6,
 )
 from cshom.survey import generate_connected_graphs
+from helpers import (
+    heawood_graph,
+    k5_six_subdivided,
+    reference_search_subdivision,
+    subdivided,
+)
 
 
 def test_from_edges_sorts_endpoints_and_list():
@@ -210,7 +220,7 @@ def test_planarity_matches_exhaustive_search_on_census():
     planar_by_n = {}
     nonplanar = []
     for g in generate_connected_graphs(7):
-        witness = _search_subdivision(g)
+        witness = reference_search_subdivision(g)
         assert is_planar(g) == (witness is None)
         planar_by_n[g.n] = planar_by_n.get(g.n, 0) + (witness is None)
         if witness is not None:
@@ -220,6 +230,92 @@ def test_planarity_matches_exhaustive_search_on_census():
     assert len(nonplanar) == 221
     for g, witness in nonplanar:
         assert find_kuratowski_subdivision(g) == witness
+
+
+def _relabeled(g, image):
+    return g.relabel({v: image[v - 1] for v in range(1, g.n + 1)})
+
+
+# Heawood and Petersen under the certify benchmark's seed-1 labelings of
+# passes 1 and 0: on the first the unpruned search tries 3868 branch sets
+HEAVY_HEAWOOD = _relabeled(
+    heawood_graph(), (5, 12, 9, 13, 11, 6, 7, 8, 4, 3, 1, 2, 14, 10)
+)
+BENCH_PETERSEN = _relabeled(petersen_graph(), (3, 8, 2, 1, 4, 10, 9, 6, 5, 7))
+
+WITNESS_GRAPHS = {
+    "petersen": petersen_graph(),
+    "heawood": heawood_graph(),
+    "K5,5": complete_bipartite(range(1, 6), range(6, 11)),
+    "K6": complete_graph(6),
+    "K7": complete_graph(7),
+    "K3,4": complete_bipartite((1, 2, 3), (4, 5, 6, 7)),
+    "K4,4": complete_bipartite((1, 2, 3, 4), (5, 6, 7, 8)),
+    "K5-sub6": k5_six_subdivided(),
+    "K33-sub3": subdivided(
+        complete_bipartite((1, 2, 3), (4, 5, 6)), ((1, 4), (2, 5), (3, 6))
+    ),
+}
+
+
+def _assert_search_matches_reference(g):
+    witness = _search_subdivision(g)
+    assert witness == reference_search_subdivision(g)
+    witness.validate(g)
+
+
+@pytest.mark.parametrize("name", WITNESS_GRAPHS)
+def test_search_matches_reference_on_relabelings(name):
+    g = WITNESS_GRAPHS[name]
+    rng = random.Random(f"witness:{name}")
+    for _ in range(8):
+        image = list(range(1, g.n + 1))
+        rng.shuffle(image)
+        _assert_search_matches_reference(_relabeled(g, image))
+
+
+def _count_calls(monkeypatch, module, *names):
+    calls = Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_search_matches_reference_on_heavy_heawood(monkeypatch):
+    calls = _count_calls(monkeypatch, helpers, "_reference_complete_paths")
+    _assert_search_matches_reference(HEAVY_HEAWOOD)
+    assert calls["_reference_complete_paths"] == 3868
+
+
+# (path searches, branch sets that reach one); the unpruned search makes
+# 20948 and 3868 on Heawood, 1086 and 355 on Petersen
+@pytest.mark.parametrize(
+    "g, work",
+    [(HEAVY_HEAWOOD, (638, 40)), (BENCH_PETERSEN, (24, 3))],
+    ids=["heawood", "petersen"],
+)
+def test_search_work_is_pinned(monkeypatch, g, work):
+    calls = _count_calls(monkeypatch, graphs, "_paths_between", "_complete_paths")
+    assert _search_subdivision(g) is not None
+    assert (calls["_paths_between"], calls["_complete_paths"]) == work
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(6, 9))
+    pairs = list(combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@given(small_graphs())
+def test_search_matches_reference_on_random_graphs(g):
+    if not is_planar(g):
+        _assert_search_matches_reference(g)
 
 
 def _placed(n, *parts):
