@@ -26,9 +26,7 @@ from .errors import (
     ComplexNotExact,
     CshomError,
     LiftFailed,
-    NonIntegerSolution,
     NotASubgraph,
-    NotInSpan,
     PlanarInput,
     StraighteningStalled,
 )
@@ -91,10 +89,8 @@ __all__ = [
     "LiftFailed",
     "LiftStep",
     "LiftTrace",
-    "NonIntegerSolution",
     "NormalizationReport",
     "NotASubgraph",
-    "NotInSpan",
     "Numbering",
     "NumberingVector",
     "Partition",

@@ -2,8 +2,6 @@
 
 __all__ = [
     "CshomError",
-    "NotInSpan",
-    "NonIntegerSolution",
     "StraighteningStalled",
     "ComplexNotExact",
     "PlanarInput",
@@ -14,14 +12,6 @@ __all__ = [
 
 class CshomError(Exception):
     """Base class for domain errors raised by this package."""
-
-
-class NotInSpan(CshomError):
-    """A vector is not an integer combination of the given basis."""
-
-
-class NonIntegerSolution(CshomError):
-    """The unique rational expansion exists but is not integral."""
 
 
 class StraighteningStalled(CshomError):

@@ -2,9 +2,9 @@
 relations, and straightening into standard bases.
 
 Everything works on explicit row tuples with plain integer entries; no group
-algebra elements are materialized here.  The tabloid-level machinery in
-groupalg.py is the independent cross-check that tests run against this
-module.
+algebra elements are materialized here.  The tests judge this module against
+an independent group-algebra oracle (tests/groupalg.py) and against the
+cell-by-cell semistandard backtracker that enumerate_ssyt replaced.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import StraighteningStalled
 from .graphs import Graph, connected_components
-from .perms import sort_sign
 
 __all__ = [
     "Partition",
@@ -53,15 +52,6 @@ class Partition:
     @property
     def n(self) -> int:
         return sum(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
 
     def two_column_rows(self) -> int | None:
         """k when the shape is (2^k, 1^(n-2k)), else None."""
@@ -136,6 +126,17 @@ def numbering(*rows: Sequence[int]) -> Numbering:
     return Numbering(tuple(tuple(r) for r in rows))
 
 
+def sort_sign(values: Iterable) -> int:
+    """Sign of the permutation that sorts values ascending."""
+    vals = list(values)
+    inv = 0
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            if vals[i] > vals[j]:
+                inv += 1
+    return -1 if inv % 2 else 1
+
+
 def _canonical_rows(
     rows: Sequence[Sequence[int]], frozen_rows: int
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -199,28 +200,12 @@ class NumberingVector:
     def items(self) -> list[tuple[Numbering, int]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].key())
 
-    def __getitem__(self, nb: Numbering) -> int:
-        return self.terms.get(nb, 0)
-
-    def __iter__(self) -> Iterator[tuple[Numbering, int]]:
-        return iter(self.items())
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, NumberingVector):
             return self.terms == other.terms
         if isinstance(other, Mapping):
             return self.terms == dict(other)
         return NotImplemented
-
-    def __repr__(self) -> str:
-        body = " ".join(f"{c:+d}*{nb.rows}" for nb, c in self.items())
-        return f"NumberingVector({body or '0'})"
 
 
 @functools.cache
@@ -257,39 +242,40 @@ def enumerate_syt(shape: Partition) -> tuple[Numbering, ...]:
 def enumerate_ssyt(
     shape: Partition, weight: Partition
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Semistandard fillings of the shape with the given content, ascending.
+    """Semistandard fillings of a two-column shape with content (2^a, 1^b),
+    ascending.
 
-    Content: value v appears weight[v-1] times.  Rows weakly increase,
+    Content: value v appears weight.parts[v-1] times.  Rows weakly increase,
     columns strictly increase.  Returned as raw row tuples since entries
     repeat.
+
+    The fillings are built, not searched.  Each value v <= a fills two
+    cells, which column strictness puts in one row; by induction on v that
+    row is row v, so rows 1..a read (v, v).  The rest of the shape is then
+    filled once each by a+1..n: a standard filling of the remaining rows
+    shifted by a.  The fillings share rows 1..a and the shift keeps order,
+    so they come out ascending as enumerate_syt's do.  No filling exists
+    when a exceeds the number of length-2 rows.  Raises ValueError for a shape that is not (2^k, 1^(n-2k)), a
+    weight that is not (2^a, 1^b), or unequal sizes.
     """
     if weight.n != shape.n:
         raise ValueError(f"weight size {weight.n} != shape size {shape.n}")
-    lengths = shape.parts
-    remaining = list(weight.parts)
-    rows: list[list[int]] = [[] for _ in lengths]
-    out: list[tuple[tuple[int, ...], ...]] = []
-
-    def place(r: int, c: int) -> None:
-        if r == len(lengths):
-            out.append(tuple(tuple(row) for row in rows))
-            return
-        nr, nc = (r, c + 1) if c + 1 < lengths[r] else (r + 1, 0)
-        lo = rows[r][c - 1] if c > 0 else 1
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for v in range(lo, len(remaining) + 1):
-            if not remaining[v - 1]:
-                continue
-            remaining[v - 1] -= 1
-            rows[r].append(v)
-            place(nr, nc)
-            rows[r].pop()
-            remaining[v - 1] += 1
-
-    place(0, 0)
-    out.sort(key=numbering_key)
-    return tuple(out)
+    k = shape.two_column_rows()
+    if k is None:
+        raise ValueError(f"shape {shape.parts!r} is not two-column")
+    a = weight.two_column_rows()
+    if a is None:
+        raise ValueError(f"weight {weight.parts!r} is not (2^a, 1^b)")
+    if a > k:
+        return ()
+    top = tuple((v, v) for v in range(1, a + 1))
+    rest = shape.parts[a:]
+    if not rest:
+        return (top,)
+    return tuple(
+        top + tuple(tuple(x + a for x in row) for row in t.rows)
+        for t in enumerate_syt(Partition(rest))
+    )
 
 
 def numbering_of_subgraph(g: Graph, edges: Iterable[tuple[int, int]]) -> Numbering:

@@ -1,7 +1,7 @@
 """Group-algebra oracle for the restricted complexes.
 
-A test oracle: the tests compare the rewriting route against it, and no
-runtime module of the package (library or CLI) imports or calls it.
+A test oracle, kept with the tests: the tests compare the rewriting route in
+cshom against it, and nothing in the package imports it.
 
 Chain generators are expanded literally as signed permutation sums: the
 generator attached to a numbering S with reference R is
@@ -11,12 +11,16 @@ generator attached to a numbering S with reference R is
 with sigma the permutation carrying S to R cellwise.  Edge maps of the
 underlying complex are genuine inclusions of group-algebra submodules, so
 differential columns fall out of exact rational expansion in these sums.
-Nothing here touches the exchange-relation rewriting; that independence is
-the point.
+Nothing here touches the exchange-relation rewriting, and the semistandard
+patterns come from the cell-by-cell backtracker in helpers.py, not from
+cshom.tableaux.enumerate_ssyt; that independence is the point.
+
+Permutations of {1..n} are tuples in one-line notation: p[i] is the image
+of i + 1.
 
 Sizes are capped (n <= 7 for matrices, n <= 5 for the full tabloid
 homology); beyond the caps the symmetric group blows up and the rewriting
-route in complexes.py is the only practical one.
+route in cshom.complexes is the only practical one.
 """
 
 from __future__ import annotations
@@ -26,18 +30,17 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import NonIntegerSolution, NotInSpan
-from .graphs import Graph, edge_pairs_by_type
-from .intlinalg import HomologyResult, homology_group
-from .perms import Perm, compose, from_mapping, identity, sign
-from .tableaux import (
+from cshom.errors import CshomError
+from cshom.graphs import Graph, edge_pairs_by_type
+from cshom.intlinalg import HomologyResult, homology_group
+from cshom.tableaux import (
     Numbering,
     Partition,
-    enumerate_ssyt,
     enumerate_syt,
     numbering_of_subgraph,
     standardize,
 )
+from helpers import reference_enumerate_ssyt
 
 __all__ = [
     "specht_vector",
@@ -47,10 +50,58 @@ __all__ = [
     "full_h1_small",
 ]
 
+Perm = tuple[int, ...]
 GAVector = dict[Perm, int]
 
 ORACLE_MAX_N = 7
 FULL_MAX_N = 5
+
+
+class NotInSpan(CshomError):
+    """A vector is not an integer combination of the given basis."""
+
+
+class NonIntegerSolution(CshomError):
+    """The unique rational expansion exists but is not integral."""
+
+
+def identity(n: int) -> Perm:
+    return tuple(range(1, n + 1))
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """Product p * q: the right factor acts first."""
+    return tuple(p[q[i] - 1] for i in range(len(p)))
+
+
+def sign(p: Perm) -> int:
+    """Sign of p, computed from its cycle type."""
+    n = len(p)
+    seen = [False] * n
+    s = 1
+    for i in range(n):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = p[j] - 1
+            length += 1
+        if length % 2 == 0:
+            s = -s
+    return s
+
+
+def from_mapping(mapping: dict[int, int], n: int) -> Perm:
+    """Permutation sending k to mapping[k], identity elsewhere."""
+    out = list(range(1, n + 1))
+    for k, v in mapping.items():
+        out[k - 1] = v
+    p = tuple(out)
+    if sorted(p) != list(range(1, n + 1)):
+        raise ValueError("mapping is not a bijection")
+    return p
 
 
 def _group_elements(rows: Iterable[tuple[int, ...]], n: int) -> list[tuple[Perm, int]]:
@@ -177,7 +228,7 @@ def oracle_restricted_matrices(
 ) -> tuple[list[list[int]], list[list[int]]]:
     """(d1, d2) of the restricted complex, by group-algebra expansion only.
 
-    Basis order matches complexes.build_restricted_complex: standard
+    Basis order matches cshom.complexes.build_restricted_complex: standard
     numberings ascending; edge blocks in edge order with copies in
     semistandard order; pair blocks in lexicographic pair order.  n <= 7.
     """
@@ -193,7 +244,7 @@ def oracle_restricted_matrices(
     basis0 = [specht_vector(y, ref) for y in syt]
 
     mu = Partition((2,) + (1,) * (n - 2))
-    patterns = enumerate_ssyt(shape, mu)
+    patterns = reference_enumerate_ssyt(shape, mu)
     x_fillings: list[list[Numbering]] = []
     x_vectors: list[list[GAVector]] = []
     for e in g.edges:
@@ -215,7 +266,7 @@ def oracle_restricted_matrices(
 
     noncons, _ = edge_pairs_by_type(g)
     nu = Partition((2, 2) + (1,) * (n - 4))
-    w_patterns = enumerate_ssyt(shape, nu)
+    w_patterns = reference_enumerate_ssyt(shape, nu)
     wcopies = len(w_patterns)
     d2 = [[0] * (len(noncons) * wcopies) for _ in range(g.m * kcopies)]
     for p, (i, j) in enumerate(noncons):

@@ -1,11 +1,16 @@
 """Test helpers shared by several test modules: an exact determinant, used
 only to judge the Smith normal form, graphs that recur across suites, the
+cell-by-cell semistandard backtracker that judges enumerate_ssyt, the
 per-edge degree-1 basis and per-column complex build that judge
 degree1_basis and build_restricted_complex, the unpruned Kuratowski search
 that judges _search_subdivision, and the numpy Smith normal form that
-judges smith_normal_form."""
+judges smith_normal_form, and a call budget that stops a runaway
+computation by counting calls instead of timing it."""
 
+import contextlib
+import functools
 import random
+import sys
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -30,8 +35,8 @@ from cshom.survey import generate_connected_graphs
 from cshom.tableaux import (
     Numbering,
     Partition,
-    enumerate_ssyt,
     enumerate_syt,
+    numbering_key,
     numbering_of_subgraph,
     standardize,
     straighten,
@@ -63,6 +68,32 @@ def determinant(m):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[r - 1][r - 1]
+
+
+@contextlib.contextmanager
+def call_budget(module: str, limit: int) -> Iterator[None]:
+    """Raise AssertionError as soon as the block has entered Python
+    functions of the named module more than limit times.
+
+    Counts profiler "call" events, so a generator counts once per resume.
+    The bound is on work, not on time: a loop that grows exponentially
+    trips it within limit calls instead of hanging the suite.
+    """
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_globals.get("__name__") == module:
+            calls += 1
+            if calls > limit:
+                raise AssertionError(f"more than {limit} calls into {module}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield
+    finally:
+        sys.setprofile(previous)
 
 
 def heawood_graph():
@@ -136,6 +167,46 @@ def criterion4_graphs():
     return graphs
 
 
+@functools.cache
+def reference_enumerate_ssyt(
+    shape: Partition, weight: Partition
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The cell-by-cell backtracker that enumerate_ssyt replaced, kept as its
+    oracle: semistandard fillings of any shape with any content, ascending.
+
+    Content: value v appears weight[v-1] times.  Rows weakly increase,
+    columns strictly increase.  Returned as raw row tuples since entries
+    repeat.  Its running time grows exponentially with n.
+    """
+    if weight.n != shape.n:
+        raise ValueError(f"weight size {weight.n} != shape size {shape.n}")
+    lengths = shape.parts
+    remaining = list(weight.parts)
+    rows: list[list[int]] = [[] for _ in lengths]
+    out: list[tuple[tuple[int, ...], ...]] = []
+
+    def place(r: int, c: int) -> None:
+        if r == len(lengths):
+            out.append(tuple(tuple(row) for row in rows))
+            return
+        nr, nc = (r, c + 1) if c + 1 < lengths[r] else (r + 1, 0)
+        lo = rows[r][c - 1] if c > 0 else 1
+        if r > 0:
+            lo = max(lo, rows[r - 1][c] + 1)
+        for v in range(lo, len(remaining) + 1):
+            if not remaining[v - 1]:
+                continue
+            remaining[v - 1] -= 1
+            rows[r].append(v)
+            place(nr, nc)
+            rows[r].pop()
+            remaining[v - 1] += 1
+
+    place(0, 0)
+    out.sort(key=numbering_key)
+    return tuple(out)
+
+
 def reference_degree1_basis(g, shape):
     """The per-edge degree-1 basis that degree1_basis replaced, kept as its
     oracle: every pattern standardized against every edge's numbering, and
@@ -148,7 +219,7 @@ def reference_degree1_basis(g, shape):
         raise ValueError(f"shape {shape.parts!r} is not (2^k, 1^*) with k >= 1")
 
     mu = Partition((2,) + (1,) * (g.n - 2))
-    patterns = enumerate_ssyt(shape, mu)
+    patterns = reference_enumerate_ssyt(shape, mu)
     basis1 = []
     for i, e in enumerate(g.edges, start=1):
         t_e = numbering_of_subgraph(g, (e,))
@@ -184,7 +255,7 @@ def reference_build_restricted_complex(g, shape):
     if k >= 2:
         noncons, _ = edge_pairs_by_type(g)
         nu = Partition((2, 2) + (1,) * (n - 4))
-        w_patterns = enumerate_ssyt(shape, nu)
+        w_patterns = reference_enumerate_ssyt(shape, nu)
         for i0, j0 in noncons:
             ei, ej = g.edges[i0], g.edges[j0]
             block_i = fillings1[i0 * kcopies : (i0 + 1) * kcopies]

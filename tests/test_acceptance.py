@@ -23,7 +23,6 @@ from cshom.certificates import (
 )
 from cshom.cli import main as cli_main
 from cshom.complexes import build_restricted_complex
-from cshom.groupalg import oracle_restricted_matrices
 from cshom.graphs import (
     Graph,
     complete_bipartite,
@@ -35,6 +34,7 @@ from cshom.intlinalg import homology_group, mat_mul, smith_normal_form
 from cshom.survey import generate_connected_graphs, run_survey, write_csv
 from cshom.tableaux import Partition
 from cshom.verify import run_battery
+from groupalg import oracle_restricted_matrices
 from helpers import criterion3_graphs, criterion4_graphs, determinant
 
 

@@ -36,7 +36,7 @@ from cshom.graphs import (
 from cshom.intlinalg import TorsionCertificate, check_certificate, homology_group, mat_vec
 from cshom.survey import generate_connected_graphs
 from cshom.tableaux import Partition, straighten
-from helpers import heawood_graph, k5_six_subdivided, subdivided
+from helpers import call_budget, heawood_graph, k5_six_subdivided, subdivided
 
 
 def _homology_factors(cert):
@@ -574,3 +574,17 @@ def test_certificate_prime_accepts_primes():
     assert accepted == [p for p in range(2, 3000) if sieve[p]]
     for p in (46337, (1 << 31) - 1):
         TorsionCertificate(graph=None, shape=None, h=(), witness_x=(), prime=p)
+
+
+def test_certify_k5_with_a_long_pendant_path_within_call_budget():
+    # n = 30: K5 with a 25-vertex path hanging off vertex 5.  Enumerating
+    # the semistandard patterns by backtracking made exponentially many
+    # calls here; building them takes one standard enumeration per weight.
+    g = Graph.from_edges(
+        30, list(complete_graph(5).edges) + [(v, v + 1) for v in range(5, 30)]
+    )
+    with call_budget("cshom.tableaux", 500_000):
+        c = build_restricted_complex(g, Partition.two_column(30, 2))
+        cert = certify_nonplanar(g)
+        assert check_certificate(cert, cert.complex).valid
+    assert c.dims() == (537, 945, 405)

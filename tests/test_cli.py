@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+from cshom.certificates import CERTIFICATE_FORMAT
 from cshom.cli import main
 from cshom.errors import ComplexNotExact
 from cshom.graphs import complete_graph, to_graph6
+from cshom.intlinalg import HomologyResult
+from helpers import call_budget
 
 
 def _write_graph(tmp_path, name, text):
@@ -237,6 +240,25 @@ def test_check_garbage_file(tmp_path, capsys):
     assert main(["check", str(p)]) == 2
 
 
+def test_check_of_a_62_vertex_certificate_returns_promptly(tmp_path, capsys):
+    # two disjoint edges on 62 vertices at shape (2,2,1^58): the zero class
+    # binds and is a boundary.  Enumerating the semistandard patterns by
+    # backtracking made exponentially many calls on this document.
+    doc = {
+        "format": CERTIFICATE_FORMAT,
+        "prime": 2,
+        "graph": {"n": 62, "edges": [[1, 2], [3, 4]]},
+        "shape": [2, 2] + [1] * 58,
+        "h": {},
+        "witness_x": {},
+    }
+    p = tmp_path / "n62.json"
+    p.write_text(json.dumps(doc))
+    with call_budget("cshom.tableaux", 2_000_000):
+        assert main(["check", str(p)]) == 1
+    assert "FAIL not-in-image" in capsys.readouterr().out
+
+
 def test_survey_generate_deterministic(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     out1 = str(tmp_path / "a.csv")
@@ -331,3 +353,19 @@ def test_verify_paper_pass_and_sabotage(capsys):
     out = capsys.readouterr().out
     assert "FAIL degree2-column" in out
     assert "12/13 checks passed" in out
+
+
+def test_survey_abort_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        "cshom.survey.homology_group",
+        lambda d1, d2: HomologyResult(betti=0, invariant_factors=()),
+    )
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("D~{\n")  # K5
+    out = tmp_path / "report.csv"
+    cache = str(tmp_path / "cache")
+    assert main(["survey", str(corpus), "--cache", cache, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "SURVEY ABORTED" in err and "D~{" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -4,7 +4,6 @@ import pytest
 
 import cshom.complexes
 from cshom.complexes import build_restricted_complex, degree1_basis
-from cshom.groupalg import oracle_restricted_matrices
 from cshom.graphs import (
     Graph,
     complete_bipartite,
@@ -15,6 +14,7 @@ from cshom.graphs import (
 )
 from cshom.intlinalg import homology_group, mat_mul
 from cshom.tableaux import Partition, standardize, straighten
+from groupalg import oracle_restricted_matrices
 from helpers import (
     criterion3_graphs,
     criterion4_graphs,

@@ -11,8 +11,8 @@ of that shape.
 
 import pytest
 
-from cshom.groupalg import FULL_MAX_N, ORACLE_MAX_N, full_h1_small
 from cshom.graphs import complete_graph, cycle_graph, path_graph
+from groupalg import FULL_MAX_N, ORACLE_MAX_N, full_h1_small
 
 
 def test_oracle_caps():

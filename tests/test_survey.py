@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cshom.errors import LiftFailed
 from cshom.graphs import (
     Graph,
     complete_graph,
@@ -13,6 +14,7 @@ from cshom.graphs import (
     is_connected,
     to_graph6,
 )
+from cshom.intlinalg import HomologyResult
 from cshom.survey import (
     _canonical_edges,
     certificate_filename,
@@ -214,3 +216,30 @@ def test_run_survey_recomputes_entries_of_an_older_cache_version(tmp_path):
     assert record != bogus
     assert record["planar"] is False and record["has_z2"] is True
     assert len(list(cache.glob("*.json"))) == 3
+
+
+def _no_torsion(d1, d2):
+    return HomologyResult(betti=0, invariant_factors=())
+
+
+def test_run_survey_aborts_on_nonplanar_graph_without_z2(tmp_path, monkeypatch):
+    # K5 (graph6 D~{) is non-planar; a scan that reports no torsion there
+    # contradicts the certificate, so the survey aborts instead of writing
+    monkeypatch.setattr("cshom.survey.homology_group", _no_torsion)
+    cache = tmp_path / "cache"
+    with pytest.raises(RuntimeError, match="torsion invariant violated.*D~{"):
+        run_survey(["D~{"], cache_dir=str(cache))
+    assert list(cache.glob("*.json")) == []
+
+
+def test_survey_one_records_a_failed_certification(monkeypatch):
+    def failing(g):
+        raise LiftFailed("stage 2 did not verify")
+
+    monkeypatch.setattr("cshom.survey.certify_nonplanar", failing)
+    record, cert_doc = survey_one("D~{")
+    assert record["error"] == "LiftFailed: stage 2 did not verify"
+    assert record["planar"] is False  # from the is_planar fallback
+    assert record["has_z2"] is True
+    assert record["certificate"] is None
+    assert cert_doc is None

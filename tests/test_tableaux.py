@@ -10,7 +10,6 @@ import cshom.tableaux
 from cshom.certificates import certify_nonplanar
 from cshom.complexes import build_restricted_complex
 from cshom.errors import StraighteningStalled
-from cshom.groupalg import expand_in_basis, specht_vector
 from cshom.tableaux import (
     STRAIGHTEN_STEP_LIMIT,
     Numbering,
@@ -28,7 +27,8 @@ from cshom.tableaux import (
     straighten_columns,
 )
 from cshom.graphs import complete_bipartite, complete_graph, petersen_graph
-from helpers import heawood_graph, k5_six_subdivided
+from groupalg import expand_in_basis, specht_vector
+from helpers import heawood_graph, k5_six_subdivided, reference_enumerate_ssyt
 
 
 def test_partition_validation():
@@ -138,6 +138,32 @@ def test_enumerate_ssyt_rows_weakly_increase_columns_strictly():
             for i in range(len(rows) - 1):
                 for c in range(len(rows[i + 1])):
                     assert rows[i][c] < rows[i + 1][c]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_enumerate_ssyt_matches_reference(n):
+    # every shape (2^k, 1^(n-2k)) with every weight (2^a, 1^(n-2a)), a <= 2;
+    # a > k has no filling at all
+    for k in range(n // 2 + 1):
+        shape = Partition((2,) * k + (1,) * (n - 2 * k))
+        for a in range(min(2, n // 2) + 1):
+            weight = Partition((2,) * a + (1,) * (n - 2 * a))
+            got = enumerate_ssyt(shape, weight)
+            assert got == reference_enumerate_ssyt(shape, weight), (shape, weight)
+            assert bool(got) == (a <= k)
+
+
+@pytest.mark.parametrize(
+    "shape,weight",
+    [
+        ((3, 1), (2, 1, 1)),  # a row of length 3
+        ((2, 2, 1), (3, 1, 1)),  # a value occurring three times
+        ((2, 2, 1), (2, 1, 1)),  # sizes differ
+    ],
+)
+def test_enumerate_ssyt_rejects_other_shapes_and_weights(shape, weight):
+    with pytest.raises(ValueError):
+        enumerate_ssyt(Partition(shape), Partition(weight))
 
 
 def test_standardize_pinned_edge_fillings():
