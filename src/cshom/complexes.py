@@ -117,13 +117,20 @@ def degree1_basis(g: Graph, shape: Partition) -> tuple[tuple[int, int, Rows], ..
             raise AssertionError(f"filling {x!r} is not standard below the edge")
     if sorted(template, key=numbering_key) != template:
         raise AssertionError("edge block must be listed in ascending order")
+    # the template's reading word, its length-2 rows and its singletons
+    # apart; each edge maps it once and cuts it back into fillings
+    m = g.n - 2 * k
+    paired = [v for x in template for row in x[:k] for v in row]
+    single = [row[0] for x in template for row in x[k:]]
     basis1: list[tuple[int, int, Rows]] = []
     for i, (a, b) in enumerate(g.edges, start=1):
         label = (0, a, b) + tuple(v for v in range(1, g.n + 1) if v != a and v != b)
-        basis1.extend(
-            (i, j, tuple(tuple(label[v] for v in row) for row in x))
-            for j, x in enumerate(template, start=1)
-        )
+        cells = list(map(label.__getitem__, paired))
+        pairs = list(zip(cells[::2], cells[1::2]))
+        singles = list(zip(map(label.__getitem__, single)))
+        for j in range(len(template)):
+            rows = tuple(pairs[j * k : j * k + k]) + tuple(singles[j * m : j * m + m])
+            basis1.append((i, j + 1, rows))
     return tuple(basis1)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
@@ -351,22 +352,6 @@ def pi_expand(s: Numbering, i: int, j: int) -> NumberingVector:
     return NumberingVector(pairs)
 
 
-def _violation(
-    rows: tuple[tuple[int, ...], ...], frozen_rows: int
-) -> tuple[int, int] | None:
-    """Topmost non-frozen adjacent row pair breaking column increase, with
-    the rightmost offending column.  Expects within-row sorted rows."""
-    for r in range(frozen_rows + 1, len(rows)):
-        upper, lower = rows[r - 1], rows[r]
-        found = -1
-        for c in range(len(lower)):
-            if upper[c] > lower[c]:
-                found = c
-        if found >= 0:
-            return r, found
-    return None
-
-
 Rows = tuple[tuple[int, ...], ...]
 Term = Union[Numbering, Rows]
 TermsLike = Union[Term, NumberingVector, Iterable[tuple[Term, int]]]
@@ -376,6 +361,91 @@ STRAIGHTEN_STEP_LIMIT = 1_000_000
 
 def _rows(t: Term) -> Rows:
     return t.rows if isinstance(t, Numbering) else t
+
+
+@functools.cache
+def _rewrite_plan(
+    lengths: tuple[int, ...], frozen_rows: int
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int, bool], ...]]:
+    """Where a canonical filling with these row lengths can violate, and
+    the block of equal-length rows below the frozen prefix that holds each
+    row.
+
+    The rows of a block are in lexicographic order, so inside a block
+    column 0 never violates and a block of singletons never does; across a
+    block boundary every column can.  checks lists the (lower row, column)
+    pairs that can, rows downward and columns right to left, so the first
+    that violates is the topmost pair's rightmost violating column.
+    blocks[r] is (start, end, odd) for row r's block, odd when its rows
+    have odd length: only those blocks carry a sign when reordered.
+    """
+    checks: list[tuple[int, int]] = []
+    blocks: list[tuple[int, int, bool]] = [(0, 0, False)] * len(lengths)
+    start = frozen_rows
+    while start < len(lengths):
+        length = lengths[start]
+        end = start
+        while end < len(lengths) and lengths[end] == length:
+            end += 1
+        blocks[start:end] = [(start, end, length % 2 == 1)] * (end - start)
+        if start > frozen_rows:
+            checks += [(start, c) for c in reversed(range(length))]
+        for r in range(start + 1, end):
+            checks += [(r, c) for c in reversed(range(1, length))]
+        start = end
+    return tuple(checks), tuple(blocks)
+
+
+def _rewrite(
+    rows: Rows, r: int, col: int, blocks: tuple[tuple[int, int, bool], ...]
+) -> list[tuple[int, Rows]]:
+    """Signed canonical children of one rewrite step of the canonical
+    filling rows at the violation (r, col).
+
+    A child differs from rows only in rows r-1 and r.  Each is sorted and
+    inserted at its bisect position in what is left of its block, which is
+    still sorted; in an odd-length block a row that passes d others flips
+    the sign d times.
+    """
+    upper, lower = rows[r - 1], rows[r]
+    x = lower[col]
+    low_rest = lower[:col] + lower[col + 1 :]
+    start, end, odd = blocks[r - 1]
+    children = []
+    if r < end:
+        # both rows in one block: the rest of it, and the slot they leave
+        rest = rows[start : r - 1] + rows[r + 1 : end]
+        head, tail = rows[:start], rows[end:]
+        p = r - 1 - start
+        for t, y in enumerate(upper):
+            up = tuple(sorted(upper[:t] + (x,) + upper[t + 1 :]))
+            low = tuple(sorted((y,) + low_rest))
+            a, b = (up, low) if up <= low else (low, up)
+            i = bisect_left(rest, a)
+            j = bisect_left(rest, b)
+            sign = 1
+            if odd:
+                moves = up > low
+                for row in (up, low):
+                    moves += max(0, p - bisect_right(rest, row))
+                    moves += max(0, bisect_left(rest, row) - p)
+                sign = -1 if moves % 2 else 1
+            child = head + rest[:i] + (a,) + rest[i:j] + (b,) + rest[j:] + tail
+            children.append((sign, child))
+        return children
+    # row r-1 ends its block and row r starts the next one
+    _, end_low, odd_low = blocks[r]
+    for t, y in enumerate(upper):
+        up = tuple(sorted(upper[:t] + (x,) + upper[t + 1 :]))
+        low = tuple(sorted((y,) + low_rest))
+        i = bisect_left(rows, up, start, r - 1)
+        j = bisect_left(rows, low, r + 1, end_low)
+        moves = (r - 1 - bisect_right(rows, up, start, r - 1)) if odd else 0
+        if odd_low:
+            moves += j - r - 1
+        child = rows[:i] + (up,) + rows[i : r - 1] + rows[r + 1 : j] + (low,) + rows[j:]
+        children.append((-1 if moves % 2 else 1, child))
+    return children
 
 
 def straighten_columns(
@@ -394,6 +464,15 @@ def straighten_columns(
     the row above (one sign flip per term).  This measure strictly
     decreases, so on two-column shapes the rewrite always reaches fillings
     with no violations; those must be basis members.
+
+    Each input term is canonicalized once; every child of a rewrite step is
+    built canonical from its canonical parent, by sorting the two changed
+    rows and inserting each at its bisect position in its block of
+    equal-length rows.  The violation scan visits only the (row, column)
+    pairs that can violate in a canonical filling, worked out once per row
+    shape and frozen prefix: inside a block, columns from 1 on; across a
+    block boundary, every column.  A block of singleton rows is never
+    scanned.
 
     The rewrite of a canonical filling depends only on the filling, so its
     expansion, a sparse {basis position: coefficient} dict, is kept in a
@@ -418,6 +497,7 @@ def straighten_columns(
 
     def settle(root: Rows) -> dict[int, int]:
         nonlocal steps
+        checks, blocks = _rewrite_plan(tuple(map(len, root)), frozen_rows)
         stack = [root]
         while stack:
             rows = stack[-1]
@@ -426,28 +506,18 @@ def straighten_columns(
                 continue
             children = pending.pop(rows, None)
             if children is None:
-                hit = _violation(rows, frozen_rows)
-                if hit is None:
+                for r, col in checks:
+                    if rows[r - 1][col] > rows[r][col]:
+                        children = _rewrite(rows, r, col, blocks)
+                        break
+                else:
                     pos = index.get(rows)
                     if pos is None:
                         raise StraighteningStalled(
                             f"violation-free term {rows!r} is not in the basis"
                         )
                     expansion = {pos: 1}
-                else:
-                    r, col = hit
-                    upper, lower = rows[r - 1], rows[r]
-                    x = lower[col]
-                    low_rest = lower[:col] + lower[col + 1 :]
-                    children = [
-                        _canonical_rows(
-                            rows[: r - 1]
-                            + (upper[:t] + (x,) + upper[t + 1 :], (y,) + low_rest)
-                            + rows[r + 1 :],
-                            frozen_rows,
-                        )
-                        for t, y in enumerate(upper)
-                    ]
+                if children is not None:
                     missing = [canon for _, canon in children if canon not in memo]
                     if missing:
                         pending[rows] = children

@@ -1,7 +1,8 @@
 """Test helpers shared by several test modules: an exact determinant, used
 only to judge the Smith normal form, graphs that recur across suites, the
 cell-by-cell semistandard backtracker that judges enumerate_ssyt, the
-per-edge degree-1 basis and per-column complex build that judge
+Numbering-based rewrite with its full-scan violation finder that judges
+straighten, the per-edge degree-1 basis and per-column complex build that judge
 degree1_basis and build_restricted_complex, the unpruned Kuratowski search
 that judges _search_subdivision, and the numpy Smith normal form that
 judges smith_normal_form, and a call budget that stops a runaway
@@ -11,13 +12,13 @@ import contextlib
 import functools
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from cshom.complexes import RestrictedComplex, _standard_below
-from cshom.errors import ComplexNotExact
+from cshom.errors import ComplexNotExact, StraighteningStalled
 from cshom.graphs import (
     K5_MODEL_EDGES,
     K33_MODEL_EDGES,
@@ -33,8 +34,10 @@ from cshom.graphs import (
 from cshom.intlinalg import _dims, mat_mul
 from cshom.survey import generate_connected_graphs
 from cshom.tableaux import (
+    STRAIGHTEN_STEP_LIMIT,
     Numbering,
     Partition,
+    canonicalize,
     enumerate_syt,
     numbering_key,
     numbering_of_subgraph,
@@ -205,6 +208,94 @@ def reference_enumerate_ssyt(
     place(0, 0)
     out.sort(key=numbering_key)
     return tuple(out)
+
+
+def _violation(
+    rows: tuple[tuple[int, ...], ...], frozen_rows: int
+) -> tuple[int, int] | None:
+    """Topmost non-frozen adjacent row pair breaking column increase, with
+    the rightmost offending column, scanning every row and column.  Expects
+    within-row sorted rows."""
+    for r in range(frozen_rows + 1, len(rows)):
+        upper, lower = rows[r - 1], rows[r]
+        found = -1
+        for c in range(len(lower)):
+            if upper[c] > lower[c]:
+                found = c
+        if found >= 0:
+            return r, found
+    return None
+
+
+def _as_numbering(t):
+    return t if isinstance(t, Numbering) else Numbering(t)
+
+
+def reference_straighten(v, basis, frozen_rows=0):
+    """The Numbering-based rewrite that straighten replaced, kept as its
+    oracle: every step builds a Numbering, canonicalizes it and scans
+    every row with _violation.  Fillings given as row tuples are made
+    Numberings first."""
+    index: dict[Numbering, int] = {}
+    for pos, b in enumerate(map(_as_numbering, basis)):
+        if b in index:
+            raise ValueError(f"duplicate basis entry: {b.rows!r}")
+        index[b] = pos
+
+    lone = isinstance(v, Numbering) or (isinstance(v, tuple) and isinstance(v[0][0], int))
+    pairs = [(_as_numbering(t), c) for t, c in ([(v, 1)] if lone else v)]
+
+    out = [0] * len(basis)
+    work: list[tuple[int, Numbering]] = []
+    for nb, c in pairs:
+        if not c:
+            continue
+        sgn, canon = canonicalize(nb, frozen_rows)
+        work.append((c * sgn, canon))
+
+    steps = 0
+    while work:
+        steps += 1
+        if steps > STRAIGHTEN_STEP_LIMIT:
+            raise StraighteningStalled(
+                f"rewrite did not settle within {STRAIGHTEN_STEP_LIMIT} steps"
+            )
+        c, s = work.pop()
+        hit = _violation(s.rows, frozen_rows)
+        if hit is None:
+            pos = index.get(s)
+            if pos is None:
+                raise StraighteningStalled(
+                    f"violation-free term {s.rows!r} is not in the basis"
+                )
+            out[pos] += c
+            continue
+        r, col = hit
+        x = s.rows[r][col]
+        low_rest = s.rows[r][:col] + s.rows[r][col + 1 :]
+        for t, y in enumerate(s.rows[r - 1]):
+            up = s.rows[r - 1][:t] + (x,) + s.rows[r - 1][t + 1 :]
+            nb = Numbering(s.rows[: r - 1] + (up, (y,) + low_rest) + s.rows[r + 1 :])
+            sgn, canon = canonicalize(nb, frozen_rows)
+            work.append((-c * sgn, canon))
+
+    return out
+
+
+@functools.cache
+def _violation_free_fillings(shape, frozen_rows):
+    """Every canonical filling of the shape with no violation below the
+    frozen prefix: a basis on which straightening never stalls."""
+    out = set()
+    for perm in permutations(range(1, shape.n + 1)):
+        rows, pos = [], 0
+        for length in shape.parts:
+            rows.append(perm[pos : pos + length])
+            pos += length
+        _, canon = canonicalize(Numbering(tuple(rows)), frozen_rows)
+        if _violation(canon.rows, frozen_rows) is None:
+            out.add(canon)
+    return tuple(sorted(out, key=Numbering.key))
 
 
 def reference_degree1_basis(g, shape):

@@ -1,4 +1,3 @@
-import functools
 import itertools
 
 import pytest
@@ -11,11 +10,9 @@ from cshom.certificates import certify_nonplanar
 from cshom.complexes import build_restricted_complex
 from cshom.errors import StraighteningStalled
 from cshom.tableaux import (
-    STRAIGHTEN_STEP_LIMIT,
     Numbering,
     NumberingVector,
     Partition,
-    _violation,
     canonicalize,
     enumerate_ssyt,
     enumerate_syt,
@@ -28,7 +25,13 @@ from cshom.tableaux import (
 )
 from cshom.graphs import complete_bipartite, complete_graph, petersen_graph
 from groupalg import expand_in_basis, specht_vector
-from helpers import heawood_graph, k5_six_subdivided, reference_enumerate_ssyt
+from helpers import (
+    _violation_free_fillings,
+    heawood_graph,
+    k5_six_subdivided,
+    reference_enumerate_ssyt,
+    reference_straighten,
+)
 
 
 def test_partition_validation():
@@ -214,9 +217,9 @@ def _ga_scale(vec, c):
     return {k: c * v for k, v in vec.items() if v}
 
 
-def _two_column_numbering(draw, n_min=4, n_max=6):
+def _two_column_numbering(draw, n_min=4, n_max=6, k_min=2):
     n = draw(st.integers(n_min, n_max))
-    k = draw(st.integers(2, n // 2))
+    k = draw(st.integers(k_min, n // 2))
     shape = Partition.two_column(n, k)
     entries = draw(st.permutations(list(range(1, n + 1))))
     rows = []
@@ -308,60 +311,6 @@ def test_numbering_vector_accumulates_canonical_terms():
     assert v == {numbering((1, 2), (3, 4), (5,)): 3}
 
 
-def _as_numbering(t):
-    return t if isinstance(t, Numbering) else Numbering(t)
-
-
-def reference_straighten(v, basis, frozen_rows=0):
-    """The Numbering-based rewrite that straighten replaced, kept as its
-    oracle: every step builds a Numbering and canonicalizes it.  Fillings
-    given as row tuples are made Numberings first."""
-    index: dict[Numbering, int] = {}
-    for pos, b in enumerate(map(_as_numbering, basis)):
-        if b in index:
-            raise ValueError(f"duplicate basis entry: {b.rows!r}")
-        index[b] = pos
-
-    lone = isinstance(v, Numbering) or (isinstance(v, tuple) and isinstance(v[0][0], int))
-    pairs = [(_as_numbering(t), c) for t, c in ([(v, 1)] if lone else v)]
-
-    out = [0] * len(basis)
-    work: list[tuple[int, Numbering]] = []
-    for nb, c in pairs:
-        if not c:
-            continue
-        sgn, canon = canonicalize(nb, frozen_rows)
-        work.append((c * sgn, canon))
-
-    steps = 0
-    while work:
-        steps += 1
-        if steps > STRAIGHTEN_STEP_LIMIT:
-            raise StraighteningStalled(
-                f"rewrite did not settle within {STRAIGHTEN_STEP_LIMIT} steps"
-            )
-        c, s = work.pop()
-        hit = _violation(s.rows, frozen_rows)
-        if hit is None:
-            pos = index.get(s)
-            if pos is None:
-                raise StraighteningStalled(
-                    f"violation-free term {s.rows!r} is not in the basis"
-                )
-            out[pos] += c
-            continue
-        r, col = hit
-        x = s.rows[r][col]
-        low_rest = s.rows[r][:col] + s.rows[r][col + 1 :]
-        for t, y in enumerate(s.rows[r - 1]):
-            up = s.rows[r - 1][:t] + (x,) + s.rows[r - 1][t + 1 :]
-            nb = Numbering(s.rows[: r - 1] + (up, (y,) + low_rest) + s.rows[r + 1 :])
-            sgn, canon = canonicalize(nb, frozen_rows)
-            work.append((-c * sgn, canon))
-
-    return out
-
-
 def test_straighten_matches_reference_on_every_pipeline_call(monkeypatch):
     calls = []
     mismatches = []
@@ -405,27 +354,14 @@ def test_straighten_matches_reference_on_every_pipeline_call(monkeypatch):
     assert calls.count(0) > 2_500 and calls.count(1) > 600
 
 
-@functools.cache
-def _violation_free_fillings(shape, frozen_rows):
-    """Every canonical filling of the shape with no violation below the
-    frozen prefix: a basis on which straightening never stalls."""
-    out = set()
-    for perm in itertools.permutations(range(1, shape.n + 1)):
-        rows, pos = [], 0
-        for length in shape.parts:
-            rows.append(perm[pos : pos + length])
-            pos += length
-        _, canon = canonicalize(Numbering(tuple(rows)), frozen_rows)
-        if _violation(canon.rows, frozen_rows) is None:
-            out.add(canon)
-    return tuple(sorted(out, key=Numbering.key))
-
-
 @given(st.data())
 def test_straighten_matches_reference_on_linear_combinations(data):
-    first = _two_column_numbering(data.draw, 5, 7)
+    # k = 1 gives (2, 1^m) and k = n/2 gives (2^k), with no singleton block;
+    # frozen_rows from 0 to k puts a rewrite's two rows inside the 2-row
+    # block or across its boundary, or leaves nothing to rewrite
+    first = _two_column_numbering(data.draw, 5, 7, k_min=1)
     shape = first.shape
-    frozen_rows = data.draw(st.integers(0, 1))
+    frozen_rows = data.draw(st.integers(0, shape.two_column_rows()))
     coeffs = st.integers(-3, 3).filter(bool)
     pairs = [(first, data.draw(coeffs))]
     for _ in range(data.draw(st.integers(0, 3))):
@@ -456,9 +392,9 @@ def _draw_combination(data, shape):
 
 @given(st.data())
 def test_straighten_columns_matches_straighten_per_column(data):
-    first = _two_column_numbering(data.draw, 5, 7)
+    first = _two_column_numbering(data.draw, 5, 7, k_min=1)
     shape = first.shape
-    frozen_rows = data.draw(st.integers(0, 1))
+    frozen_rows = data.draw(st.integers(0, shape.two_column_rows()))
     vs = [first] + [
         _draw_combination(data, shape) for _ in range(data.draw(st.integers(0, 4)))
     ]
@@ -501,23 +437,37 @@ def test_straighten_builds_no_numbering_per_rewrite_step(monkeypatch):
     c = build_restricted_complex(g, Partition.two_column(g.n, 3))
     column = c.basis1[-1][2]
     want = reference_straighten(column, c.basis0)
+    # the column needs rewrite steps
+    assert Numbering(column) not in c.basis0
+    assert sum(1 for x in want if x) > 1
 
     constructed = []
-    canonical_calls = []
     real_post_init = Numbering.__post_init__
-    real_canonical_rows = cshom.tableaux._canonical_rows
 
     def counting_post_init(self):
         constructed.append(self)
         real_post_init(self)
 
-    def counting_canonical_rows(rows, frozen_rows):
-        canonical_calls.append(rows)
-        return real_canonical_rows(rows, frozen_rows)
-
     monkeypatch.setattr(Numbering, "__post_init__", counting_post_init)
-    monkeypatch.setattr(cshom.tableaux, "_canonical_rows", counting_canonical_rows)
     got = straighten(column, c.basis0)
     assert got == want
-    assert len(canonical_calls) > 1  # the column needs rewrite steps
     assert constructed == []
+
+
+def test_straighten_canonicalizes_each_input_term_once(monkeypatch):
+    g = petersen_graph()
+    c = build_restricted_complex(g, Partition.two_column(g.n, 3))
+    fillings1 = [x for _, _, x in c.basis1]
+    want = straighten_columns(fillings1, c.basis0)
+
+    calls = []
+    real_canonical_rows = cshom.tableaux._canonical_rows
+
+    def counting_canonical_rows(rows, frozen_rows):
+        calls.append(rows)
+        return real_canonical_rows(rows, frozen_rows)
+
+    monkeypatch.setattr(cshom.tableaux, "_canonical_rows", counting_canonical_rows)
+    assert straighten_columns(fillings1, c.basis0) == want
+    # rewrite children are built canonical, never canonicalized
+    assert calls == fillings1
