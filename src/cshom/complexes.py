@@ -4,22 +4,29 @@ For shape (2^k, 1^(n-2k)) the three chain groups are spanned by: standard
 numberings (degree 0); one block of standardized fillings per edge (degree
 1, K copies each); one block per non-consecutive edge pair (degree 2).
 Differential columns are computed by straightening the block generators
-into the target bases, all d1 columns in one call with a shared memo, with
-the sign convention: removing the lexicographically smaller edge of a pair
-keeps the larger one and carries +1, removing the larger carries -1.  A
-pair generator's filling is the two edges followed by its pattern on the
-remaining vertices, built directly; its two block parts come from one
-straightening per order type, and the composite d1 d2 is checked zero by a
-sparse exact product.
+into the target bases, the d1 columns of an edge not yet in the tables
+(below) in one call with a shared memo, with the sign convention: removing
+the lexicographically smaller edge of a pair keeps the larger one and
+carries +1, removing the larger carries -1.  A pair generator's filling is
+the two edges followed by its pattern on the remaining vertices, built
+directly; its two block parts come from one straightening per order type,
+and the composite d1 d2 is checked zero by a sparse exact product.
+
+The edge template, each edge's block and d1 columns, and the d2 order-type
+table depend only on (n, shape), never on the graph.  A build keeps them in
+a tables dict keyed by (n, shape.parts) and computes only what is missing
+there; the caller that passes one dict to several builds owns its lifetime
+(the survey, for one run), and a build without one starts from empty.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
 from .errors import ComplexNotExact
-from .graphs import Graph, edge_pairs_by_type
+from .graphs import Edge, Graph, edge_pairs_by_type
 from .intlinalg import mat_mul
 from .tableaux import (
     Numbering,
@@ -85,7 +92,29 @@ def _standard_below(rows: Rows, frozen_rows: int) -> bool:
     return True
 
 
-def degree1_basis(g: Graph, shape: Partition) -> tuple[tuple[int, int, Rows], ...]:
+@dataclass
+class _ShapeTables:
+    """The graph-independent part of every build at one (n, shape).
+
+    copies is the Specht multiplicity K and paired/single the edge
+    template's reading word, its length-2 rows and its singletons apart.
+    blocks and columns map an edge to its K fillings and their d1 columns;
+    order_types maps a d2 order type to its straightened block part.
+    """
+
+    copies: int
+    paired: list[int]
+    single: list[int]
+    blocks: dict[Edge, tuple[Rows, ...]] = field(default_factory=dict)
+    columns: dict[Edge, list[list[int]]] = field(default_factory=dict)
+    order_types: dict[tuple[tuple[int, ...], int], list[int]] = field(
+        default_factory=dict
+    )
+
+
+def degree1_basis(
+    g: Graph, shape: Partition, tables: Optional[dict] = None
+) -> tuple[tuple[int, int, Rows], ...]:
     """Degree-1 basis rows (edge_index, copy, filling) of g at the shape,
     each filling a plain row tuple.
 
@@ -98,7 +127,9 @@ def degree1_basis(g: Graph, shape: Partition) -> tuple[tuple[int, int, Rows], ..
     (1, 2) and singletons 3..n, and the checks run on the template.  Edge
     (a, b) relabels it by 1 -> a, 2 -> b and the order-preserving map of
     3..n onto V minus {a, b}: entries below the top row keep their order,
-    so every block keeps the checked properties.
+    so every block keeps the checked properties.  The template and each
+    edge's block are taken from tables (see the module docstring) when
+    they are there and put there when not.
     """
     g.assert_canonical()
     if shape.n != g.n:
@@ -107,34 +138,47 @@ def degree1_basis(g: Graph, shape: Partition) -> tuple[tuple[int, int, Rows], ..
     if k is None or k < 1:
         raise ValueError(f"shape {shape.parts!r} is not (2^k, 1^*) with k >= 1")
 
-    mu = Partition((2,) + (1,) * (g.n - 2))
-    t0 = Numbering(((1, 2),) + tuple((v,) for v in range(3, g.n + 1)))
-    template = [standardize(z, t0).rows for z in enumerate_ssyt(shape, mu)]
-    for x in template:
-        if x[0] != (1, 2):
-            raise AssertionError(f"filling {x!r} does not start with (1, 2)")
-        if not _standard_below(x, 1):
-            raise AssertionError(f"filling {x!r} is not standard below the edge")
-    if sorted(template, key=numbering_key) != template:
-        raise AssertionError("edge block must be listed in ascending order")
-    # the template's reading word, its length-2 rows and its singletons
-    # apart; each edge maps it once and cuts it back into fillings
+    if tables is None:
+        tables = {}
+    t = tables.get((g.n, shape.parts))
+    if t is None:
+        mu = Partition((2,) + (1,) * (g.n - 2))
+        t0 = Numbering(((1, 2),) + tuple((v,) for v in range(3, g.n + 1)))
+        template = [standardize(z, t0).rows for z in enumerate_ssyt(shape, mu)]
+        for x in template:
+            if x[0] != (1, 2):
+                raise AssertionError(f"filling {x!r} does not start with (1, 2)")
+            if not _standard_below(x, 1):
+                raise AssertionError(f"filling {x!r} is not standard below the edge")
+        if sorted(template, key=numbering_key) != template:
+            raise AssertionError("edge block must be listed in ascending order")
+        paired = [v for x in template for row in x[:k] for v in row]
+        single = [row[0] for x in template for row in x[k:]]
+        t = tables[(g.n, shape.parts)] = _ShapeTables(len(template), paired, single)
+    # each new edge maps the template's reading word once and cuts it back
+    # into fillings
     m = g.n - 2 * k
-    paired = [v for x in template for row in x[:k] for v in row]
-    single = [row[0] for x in template for row in x[k:]]
     basis1: list[tuple[int, int, Rows]] = []
     for i, (a, b) in enumerate(g.edges, start=1):
-        label = (0, a, b) + tuple(v for v in range(1, g.n + 1) if v != a and v != b)
-        cells = list(map(label.__getitem__, paired))
-        pairs = list(zip(cells[::2], cells[1::2]))
-        singles = list(zip(map(label.__getitem__, single)))
-        for j in range(len(template)):
-            rows = tuple(pairs[j * k : j * k + k]) + tuple(singles[j * m : j * m + m])
-            basis1.append((i, j + 1, rows))
+        block = t.blocks.get((a, b))
+        if block is None:
+            label = (0, a, b) + tuple(
+                v for v in range(1, g.n + 1) if v != a and v != b
+            )
+            cells = list(map(label.__getitem__, t.paired))
+            pairs = list(zip(cells[::2], cells[1::2]))
+            singles = list(zip(map(label.__getitem__, t.single)))
+            block = t.blocks[(a, b)] = tuple(
+                tuple(pairs[j * k : j * k + k]) + tuple(singles[j * m : j * m + m])
+                for j in range(t.copies)
+            )
+        basis1.extend((i, j, rows) for j, rows in enumerate(block, start=1))
     return tuple(basis1)
 
 
-def build_restricted_complex(g: Graph, shape: Partition) -> RestrictedComplex:
+def build_restricted_complex(
+    g: Graph, shape: Partition, tables: Optional[dict] = None
+) -> RestrictedComplex:
     """Assemble bases and differentials; the composite d1 d2 is asserted zero.
 
     Requires a canonical (sorted, loop-free) graph and a two-column shape
@@ -147,17 +191,28 @@ def build_restricted_complex(g: Graph, shape: Partition) -> RestrictedComplex:
     the order-preserving relabeling of V minus e onto 1..n-2, which maps e's
     block onto the same ordered list of standard fillings.  They depend
     only on the ranks of f's endpoints in V minus e and the pattern index,
-    and one table keyed by those, local to this call, serves both the
-    removed-edge and the kept-edge side of every pair.
+    and one table keyed by those serves both the removed-edge and the
+    kept-edge side of every pair, in every graph of order n.
+
+    Of the tables (see the module docstring) a build computes only what is
+    missing: one straighten_columns call over the new edges' fillings and
+    one straighten per new order type.  None gives a dict local to the call.
     """
-    basis1 = degree1_basis(g, shape)
+    if tables is None:
+        tables = {}
+    basis1 = degree1_basis(g, shape, tables)
+    t = tables[(g.n, shape.parts)]
     k = shape.two_column_rows()
     basis0 = enumerate_syt(shape)
     n = g.n
-    fillings1 = [x for _, _, x in basis1]
-    kcopies = len(basis1) // g.m if g.m else 0
+    kcopies = t.copies
 
-    d1_cols = straighten_columns(fillings1, basis0)
+    new = [e for e in g.edges if e not in t.columns]
+    if new:
+        cols = straighten_columns([x for e in new for x in t.blocks[e]], basis0)
+        for s, e in enumerate(new):
+            t.columns[e] = cols[s * kcopies : (s + 1) * kcopies]
+    d1_cols = [col for e in g.edges for col in t.columns[e]]
     d1 = tuple(zip(*d1_cols)) if d1_cols else ((),) * len(basis0)
 
     basis2: list[tuple[tuple[int, int], int, Rows]] = []
@@ -167,7 +222,7 @@ def build_restricted_complex(g: Graph, shape: Partition) -> RestrictedComplex:
         nu = Partition((2, 2) + (1,) * (n - 4))
         w_patterns = enumerate_ssyt(shape, nu)
         d2_rows = [[0] * (len(noncons) * len(w_patterns)) for _ in basis1]
-        table: dict[tuple[tuple[int, ...], int], list[int]] = {}
+        table = t.order_types
         for i0, j0 in noncons:
             ei, ej = g.edges[i0], g.edges[j0]
             # row 2 of every pattern is (2, 2); values 3.. are the singletons
@@ -179,8 +234,9 @@ def build_restricted_complex(g: Graph, shape: Partition) -> RestrictedComplex:
                 for top, f, b0, sign in ((ej, ei, j0, 1), (ei, ej, i0, -1)):
                     key = (tuple(v - 1 - (v > top[0]) - (v > top[1]) for v in f), l)
                     if key not in table:
-                        block = fillings1[b0 * kcopies : (b0 + 1) * kcopies]
-                        table[key] = straighten((top, f) + rest, block, frozen_rows=1)
+                        table[key] = straighten(
+                            (top, f) + rest, t.blocks[top], frozen_rows=1
+                        )
                     for s, v in enumerate(table[key]):
                         d2_rows[b0 * kcopies + s][col] = sign * v
     d2 = tuple(map(tuple, d2_rows))

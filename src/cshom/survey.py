@@ -65,10 +65,14 @@ def certificate_filename(graph6: str) -> str:
     return hashlib.sha256(graph6.encode()).hexdigest()[:16] + ".cert.json"
 
 
-def survey_one(graph6: str) -> tuple[dict, Optional[dict]]:
+def survey_one(
+    graph6: str, tables: Optional[dict] = None
+) -> tuple[dict, Optional[dict]]:
     """Scan one graph; returns (record, certificate document or None).
 
-    Recoverable library errors land in the record's error field.  A
+    tables goes to the scan builds (see build_restricted_complex), which
+    share their graph-independent parts with every build given the same
+    dict; the certificate's builds do not take it.  Recoverable library errors land in the record's error field.  A
     non-planar graph with a clean scan but no detected 2-torsion raises
     RuntimeError, aborting the whole survey.
     """
@@ -81,7 +85,7 @@ def survey_one(graph6: str) -> tuple[dict, Optional[dict]]:
     cert_doc: Optional[dict] = None
     try:
         for shape in shapes:
-            c = build_restricted_complex(g, shape)
+            c = build_restricted_complex(g, shape, tables)
             hg = homology_group(c.d1, c.d2)
             if hg.has_z2:
                 has_z2 = True
@@ -117,6 +121,12 @@ def survey_one(graph6: str) -> tuple[dict, Optional[dict]]:
     return record, cert_doc
 
 
+def _survey_chunk(graph6s: list[str]) -> list[tuple[dict, Optional[dict]]]:
+    """survey_one over consecutive graphs, with one tables dict among them."""
+    tables: dict = {}
+    return [survey_one(g6, tables) for g6 in graph6s]
+
+
 def _cache_dir(override: Optional[str]) -> Path:
     if override:
         return Path(override)
@@ -145,8 +155,10 @@ def run_survey(
 
     Graphs may be Graph objects or graph6 strings.  Cached entries are
     reused verbatim; misses are computed (by min(jobs, misses, CPUs) worker
-    processes when that exceeds 1) and persisted by the parent process
-    only.  When cert_dir is set, every certificate document is written
+    processes when that exceeds 1, in contiguous chunks) and persisted by
+    the parent process only.  The misses of one chunk, all of them when
+    serial, share one dict of build tables, which lives no longer than
+    this call.  When cert_dir is set, every certificate document is written
     there, cache hit or not.
     """
     ids: list[str] = []
@@ -171,10 +183,13 @@ def run_survey(
     if missing:
         workers = min(jobs, len(missing), os.cpu_count() or 1)
         if workers > 1:
+            # eight chunks a worker: a sorted corpus grows toward its end
+            size = -(-len(missing) // (workers * 8))
+            chunks = [missing[i : i + size] for i in range(0, len(missing), size)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                computed = list(pool.map(survey_one, missing))
+                computed = [r for part in pool.map(_survey_chunk, chunks) for r in part]
         else:
-            computed = [survey_one(g6) for g6 in missing]
+            computed = _survey_chunk(missing)
         for g6, (record, cert_doc) in zip(missing, computed):
             entry = {"record": record, "certificate_doc": cert_doc}
             _cache_path(base, g6).write_text(

@@ -482,8 +482,9 @@ def straighten_columns(
     tuples, keyed against basis rows; no Numbering is built per step.
 
     Raises StraighteningStalled when a violation-free term is not in the
-    basis, or when more than STRAIGHTEN_STEP_LIMIT terms are settled,
-    leaves included.
+    basis, when a filling's rewrite reaches that filling again (never on
+    two-column shapes, where the measure above decreases), or when more than
+    STRAIGHTEN_STEP_LIMIT terms are settled, leaves included.
     """
     index: dict[Rows, int] = {}
     for pos, b in enumerate(map(_rows, basis)):
@@ -525,9 +526,17 @@ def straighten_columns(
                         continue
             if children is not None:
                 acc: dict[int, int] = {}
-                for sgn, canon in children:
-                    for pos, c in memo[canon].items():
-                        acc[pos] = acc.get(pos, 0) - sgn * c
+                try:
+                    for sgn, canon in children:
+                        for pos, c in memo[canon].items():
+                            acc[pos] = acc.get(pos, 0) - sgn * c
+                except KeyError:
+                    # every child pushed above rows has settled, so a child
+                    # not in the memo is pending below it: an ancestor of
+                    # rows, or rows itself, and the rewrite cycles
+                    raise StraighteningStalled(
+                        f"rewrite of {rows!r} cycles back to a pending filling"
+                    ) from None
                 expansion = {pos: c for pos, c in acc.items() if c}
             steps += 1
             if steps > STRAIGHTEN_STEP_LIMIT:

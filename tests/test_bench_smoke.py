@@ -37,3 +37,20 @@ def test_a_traced_pass_misses_no_binding(workload):
         result = workloads.Runner(spans).run_pass(workloads.make_inputs(workload, 1))
     assert result.failed == 0
     assert tracer.missed_bindings(spans.spans, workload) == []
+
+
+def test_two_traced_census_passes_count_the_same():
+    # the benchmark's --trace 1 gate: one set of inputs, whose census order
+    # is reshuffled each pass, must give equal exact counts in both passes
+    inputs = workloads.make_inputs("census", 1)
+    spans = tracer.Tracer()
+    counts = []
+    for _ in range(2):
+        spans.reset()
+        with spans:
+            result = workloads.Runner(spans).run_pass(inputs)
+        assert result.failed == 0
+        layers = tracer.layer_metrics(spans.spans)
+        counts.append({k: v for k, v in layers.items() if tracer.is_count(k)})
+    assert counts[0] == counts[1]
+    assert counts[0]["tableaux.straighten_calls"] > 0

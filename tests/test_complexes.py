@@ -13,6 +13,7 @@ from cshom.graphs import (
     petersen_graph,
 )
 from cshom.intlinalg import homology_group, mat_mul
+from cshom.survey import generate_connected_graphs, scan_shapes
 from cshom.tableaux import Partition, standardize, straighten
 from groupalg import oracle_restricted_matrices
 from helpers import (
@@ -210,6 +211,21 @@ def test_build_matches_reference_on_random_graphs_at_every_shape():
 @pytest.mark.parametrize("k", [2, 3])
 def test_build_matches_reference_on_heawood(k):
     _assert_matches_reference(heawood_graph(), Partition.two_column(14, k))
+
+
+def test_builds_sharing_tables_match_fresh_builds():
+    # every scan build of the connected census up to n = 7, in a shuffled
+    # order through one tables dict, against a build that shares nothing
+    pairs = [(g, s) for g in generate_connected_graphs(7) for s in scan_shapes(g.n)]
+    random.Random(23).shuffle(pairs)
+    tables: dict = {}
+    for g, shape in pairs:
+        got = build_restricted_complex(g, shape, tables)
+        want = build_restricted_complex(g, shape)
+        assert (got.basis0, got.basis1, got.basis2, got.d1, got.d2) == (
+            want.basis0, want.basis1, want.basis2, want.d1, want.d2
+        ), (g.edges, shape.parts)
+    assert sorted(tables) == sorted({(g.n, s.parts) for g, s in pairs})
 
 
 def test_degree1_basis_matches_per_edge_reference_at_every_shape():

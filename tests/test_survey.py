@@ -5,12 +5,15 @@ import random
 
 import pytest
 
+import cshom.complexes
+import cshom.survey
 from cshom.errors import LiftFailed
 from cshom.graphs import (
     Graph,
     complete_graph,
     connected_components,
     cycle_graph,
+    edge_pairs_by_type,
     is_connected,
     to_graph6,
 )
@@ -23,6 +26,7 @@ from cshom.survey import (
     scan_shapes,
     survey_one,
 )
+from cshom.tableaux import Partition, enumerate_ssyt
 
 
 def test_scan_shapes():
@@ -181,9 +185,9 @@ def test_survey_one_reuses_scan_complex_for_certificate(monkeypatch):
     builds = []
 
     def counting(original):
-        def build(graph, shape):
+        def build(graph, shape, *args, **kwargs):
             builds.append((graph, shape))
-            return original(graph, shape)
+            return original(graph, shape, *args, **kwargs)
 
         return build
 
@@ -196,6 +200,60 @@ def test_survey_one_reuses_scan_complex_for_certificate(monkeypatch):
     # the scan and the last lift stage; the certificate document reuses the
     # complex the last lift stage verified on
     assert builds.count((g, host_shape)) == 2
+
+
+def _scan_build_counts(monkeypatch, graphs, cache):
+    """standardize and straighten calls made inside the scan builds of one
+    serial run_survey (the certificate's own builds are left out)."""
+    counts = {"scan": False, "standardize": 0, "straighten": 0}
+
+    def counting(name, original):
+        def call(*args, **kwargs):
+            counts[name] += counts["scan"]
+            return original(*args, **kwargs)
+
+        return call
+
+    build = cshom.survey.build_restricted_complex
+
+    def scan_build(*args, **kwargs):
+        counts["scan"] = True
+        try:
+            return build(*args, **kwargs)
+        finally:
+            counts["scan"] = False
+
+    with monkeypatch.context() as m:
+        for name in ("standardize", "straighten"):
+            m.setattr(cshom.complexes, name, counting(name, getattr(cshom.complexes, name)))
+        m.setattr(cshom.survey, "build_restricted_complex", scan_build)
+        run_survey(graphs, cache_dir=str(cache), jobs=1)
+    return counts["standardize"], counts["straighten"]
+
+
+def test_run_survey_does_each_graph_independent_step_once(tmp_path, monkeypatch):
+    graphs = list(generate_connected_graphs(6))
+    templates = 0
+    order_types = set()
+    for n in range(4, 7):
+        mu = Partition((2,) + (1,) * (n - 2))
+        for shape in scan_shapes(n):
+            templates += len(enumerate_ssyt(shape, mu))
+    for g in graphs:
+        for shape in scan_shapes(g.n):
+            nu = Partition((2, 2) + (1,) * (g.n - 4))
+            patterns = range(len(enumerate_ssyt(shape, nu)))
+            for i, j in edge_pairs_by_type(g)[0]:
+                for e, f in ((g.edges[i], g.edges[j]), (g.edges[j], g.edges[i])):
+                    below = [v for v in range(1, g.n + 1) if v not in e]
+                    ranks = tuple(below.index(v) for v in f)
+                    order_types.update((shape.parts, ranks, l) for l in patterns)
+    forward = _scan_build_counts(monkeypatch, graphs, tmp_path / "a")
+    random.Random(3).shuffle(graphs)
+    shuffled = _scan_build_counts(monkeypatch, graphs, tmp_path / "b")
+    # one standardize per template pattern of each (n, shape), one
+    # straighten per d2 order type, whatever the input order
+    assert forward == shuffled == (templates, len(order_types))
 
 
 def test_run_survey_recomputes_entries_of_an_older_cache_version(tmp_path):

@@ -301,6 +301,23 @@ def test_straighten_stalls_outside_basis_and_past_budget(monkeypatch):
         straighten(syt[0], syt)
 
 
+def test_straighten_stalls_when_a_rewrite_cycles():
+    # with rows of length 3 a rewrite can reach a filling that is still
+    # waiting for its own children; that is a stall, never a bare KeyError
+    basis = enumerate_syt(Partition((3, 3)))
+    columns = stalls = 0
+    for p in itertools.permutations(range(1, 7)):
+        try:
+            column = straighten((p[:3], p[3:]), basis)
+        except StraighteningStalled as exc:
+            assert "cycles" in str(exc)
+            stalls += 1
+        else:
+            assert len(column) == len(basis)
+            columns += 1
+    assert (columns, stalls) == (360, 360)
+
+
 def test_numbering_vector_accumulates_canonical_terms():
     v = NumberingVector(
         [
