@@ -61,15 +61,9 @@ from .intlinalg import (
 )
 from .survey import generate_connected_graphs, run_survey, scan_shapes
 from .tableaux import (
-    Numbering,
-    NumberingVector,
     Partition,
-    canonicalize,
     enumerate_ssyt,
     enumerate_syt,
-    numbering,
-    numbering_of_subgraph,
-    pi_expand,
     standardize,
     straighten,
     straighten_columns,
@@ -91,8 +85,6 @@ __all__ = [
     "LiftTrace",
     "NormalizationReport",
     "NotASubgraph",
-    "Numbering",
-    "NumberingVector",
     "Partition",
     "PlanarInput",
     "RestrictedComplex",
@@ -101,7 +93,6 @@ __all__ = [
     "TorsionCertificate",
     "build_restricted_complex",
     "canonical_certificates",
-    "canonicalize",
     "certificate_from_dict",
     "certificate_to_dict",
     "certify_nonplanar",
@@ -121,13 +112,10 @@ __all__ = [
     "lift_subdivision",
     "lift_subgraph",
     "normalize",
-    "numbering",
-    "numbering_of_subgraph",
     "parse_graph",
     "parse_graph6",
     "path_graph",
     "petersen_graph",
-    "pi_expand",
     "recheck_certificate",
     "run_battery",
     "run_survey",

@@ -6,7 +6,8 @@ survey (batch scan a corpus), verify-paper (pinned verification battery).
 
 Exit codes: 0 success; 1 domain outcome against the request (planar input
 for certify, invalid certificate for check, failed battery); 2 malformed
-input; 3 internal failure (an unexpected library error, or an aborted survey).
+input; 3 internal failure (an unexpected library error, running out of
+memory, or an aborted survey).
 """
 
 from __future__ import annotations
@@ -289,6 +290,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.fn(args)
     except CshomError as exc:
         print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except MemoryError:
+        print("internal failure: out of memory", file=sys.stderr)
         return EXIT_INTERNAL
 
 

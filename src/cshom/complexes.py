@@ -1,7 +1,7 @@
 """Restricted chain complexes of a graph at a two-column shape.
 
 For shape (2^k, 1^(n-2k)) the three chain groups are spanned by: standard
-numberings (degree 0); one block of standardized fillings per edge (degree
+fillings (degree 0); one block of standardized fillings per edge (degree
 1, K copies each); one block per non-consecutive edge pair (degree 2).
 Differential columns are computed by straightening the block generators
 into the target bases, the d1 columns of an edge not yet in the tables
@@ -29,7 +29,6 @@ from .errors import ComplexNotExact
 from .graphs import Edge, Graph, edge_pairs_by_type
 from .intlinalg import mat_mul
 from .tableaux import (
-    Numbering,
     Partition,
     Rows,
     enumerate_ssyt,
@@ -47,17 +46,18 @@ __all__ = ["RestrictedComplex", "build_restricted_complex"]
 class RestrictedComplex:
     """Chain data of one graph at one two-column shape.
 
-    basis0 holds the standard Numberings.  basis1 rows are (edge_index,
-    copy, filling) and basis2 rows are ((i, j), copy, filling), each filling
-    a plain row tuple; indices are 1-based to match the generator names
-    X_i^j and W_{i,j}^l used in reports and certificates.  d1 and d2 are
-    tuples of rows, each row a tuple of Python ints; d1 is
-    |basis0| x |basis1|, d2 is |basis1| x |basis2|.
+    basis0 holds the standard fillings, ascending.  basis1 rows are
+    (edge_index, copy, filling) and basis2 rows are ((i, j), copy,
+    filling).  Every filling, in all three, is a plain row tuple; indices
+    are 1-based to match the generator names X_i^j and W_{i,j}^l used in
+    reports and certificates.  d1 and d2 are tuples of rows, each row a
+    tuple of Python ints; d1 is |basis0| x |basis1|, d2 is
+    |basis1| x |basis2|.
     """
 
     graph: Graph
     shape: Partition
-    basis0: tuple[Numbering, ...]
+    basis0: tuple[Rows, ...]
     basis1: tuple[tuple[int, int, Rows], ...]
     basis2: tuple[tuple[tuple[int, int], int, Rows], ...]
     d1: tuple[tuple[int, ...], ...]
@@ -143,8 +143,8 @@ def degree1_basis(
     t = tables.get((g.n, shape.parts))
     if t is None:
         mu = Partition((2,) + (1,) * (g.n - 2))
-        t0 = Numbering(((1, 2),) + tuple((v,) for v in range(3, g.n + 1)))
-        template = [standardize(z, t0).rows for z in enumerate_ssyt(shape, mu)]
+        t0 = ((1, 2),) + tuple((v,) for v in range(3, g.n + 1))
+        template = [standardize(z, t0) for z in enumerate_ssyt(shape, mu)]
         for x in template:
             if x[0] != (1, 2):
                 raise AssertionError(f"filling {x!r} does not start with (1, 2)")

@@ -1,39 +1,39 @@
-"""Two-column tableau combinatorics: numberings, canonical forms, exchange
-relations, and straightening into standard bases.
+"""Two-column tableau combinatorics: standard and semistandard fillings,
+standardization, and straightening into standard bases by exchange-relation
+rewriting.
 
-Everything works on explicit row tuples with plain integer entries; no group
-algebra elements are materialized here.  The tests judge this module against
-an independent group-algebra oracle (tests/groupalg.py) and against the
-cell-by-cell semistandard backtracker that enumerate_ssyt replaced.
+A filling is a tuple of row tuples with plain integer entries, and nothing
+else; no group algebra elements are materialized here.  The tests judge this
+module against an independent group-algebra oracle (tests/groupalg.py), the
+literal exchange expansion and validated numberings of tests/numbering.py,
+and the cell-by-cell semistandard backtracker that enumerate_ssyt replaced.
+The verification battery (cshom.verify) pins straighten itself: its three
+exchange checks pin the coefficients of a single-entry exchange, a
+two-entry exchange and a subdivided-graph filling over enumerate_syt.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import StraighteningStalled
-from .graphs import Graph, connected_components
 
 __all__ = [
     "Partition",
-    "Numbering",
-    "NumberingVector",
-    "numbering",
     "numbering_key",
-    "canonicalize",
     "enumerate_syt",
     "enumerate_ssyt",
-    "numbering_of_subgraph",
     "standardize",
-    "pi_expand",
     "straighten",
     "straighten_columns",
 ]
+
+
+Rows = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -78,55 +78,6 @@ def numbering_key(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(reversed(row)) for row in rows)
 
 
-@dataclass(frozen=True)
-class Numbering:
-    """Filling of a partition shape, stored as a tuple of row tuples.
-
-    Construction only checks the shape (row lengths weakly decreasing);
-    content checks are explicit via check_content so intermediate objects
-    stay cheap.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if not rows or any(not row for row in rows):
-            raise ValueError("rows must be non-empty")
-        if any(len(rows[i]) < len(rows[i + 1]) for i in range(len(rows) - 1)):
-            raise ValueError(f"row lengths must be weakly decreasing: {rows!r}")
-
-    @property
-    def shape(self) -> Partition:
-        return Partition(tuple(len(r) for r in self.rows))
-
-    @property
-    def n(self) -> int:
-        return sum(len(r) for r in self.rows)
-
-    def word(self) -> tuple[int, ...]:
-        """Reading word: rows left to right, top row first."""
-        return tuple(x for row in self.rows for x in row)
-
-    def check_content(self) -> "Numbering":
-        """Require entries to be exactly 1..n; returns self for chaining."""
-        if sorted(self.word()) != list(range(1, self.n + 1)):
-            raise ValueError(f"entries must be exactly 1..{self.n}: {self.rows!r}")
-        return self
-
-    def key(self) -> tuple[tuple[int, ...], ...]:
-        return numbering_key(self.rows)
-
-    def __lt__(self, other: "Numbering") -> bool:
-        return self.key() < other.key()
-
-
-def numbering(*rows: Sequence[int]) -> Numbering:
-    """Shorthand: numbering((1, 2), (3, 4), (5,))."""
-    return Numbering(tuple(tuple(r) for r in rows))
-
-
 def sort_sign(values: Iterable) -> int:
     """Sign of the permutation that sorts values ascending."""
     vals = list(values)
@@ -140,9 +91,14 @@ def sort_sign(values: Iterable) -> int:
 
 def _canonical_rows(
     rows: Sequence[Sequence[int]], frozen_rows: int
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Sign and rows of the canonical representative of a filling given as
-    row tuples; canonicalize documents the form."""
+) -> tuple[int, Rows]:
+    """Sign and rows of the canonical representative of a filling.
+
+    Sorting inside a row is free.  Below the frozen prefix, rows of equal
+    length are put in ascending order of content; permuting rows of length L
+    multiplies the underlying element by the permutation sign raised to L,
+    so only odd-length blocks can flip the sign.
+    """
     if not 0 <= frozen_rows <= len(rows):
         raise ValueError(f"frozen_rows out of range: {frozen_rows}")
     rows = [tuple(sorted(row)) for row in rows]
@@ -162,64 +118,18 @@ def _canonical_rows(
     return sign, tuple(out)
 
 
-def canonicalize(nb: Numbering, frozen_rows: int = 0) -> tuple[int, Numbering]:
-    """Signed canonical representative.
-
-    Sorting inside a row is free.  Below the frozen prefix, rows of equal
-    length are put in ascending order of content; permuting rows of length L
-    multiplies the underlying element by the permutation sign raised to L,
-    so only odd-length blocks can flip the sign.  The work is done on plain
-    row tuples by _canonical_rows, which straightening calls directly.
-    """
-    sign, rows = _canonical_rows(nb.rows, frozen_rows)
-    return sign, Numbering(rows)
-
-
-class NumberingVector:
-    """Integer combination of numberings, keyed by canonical representatives."""
-
-    __slots__ = ("terms",)
-
-    def __init__(
-        self,
-        terms: Union[Mapping[Numbering, int], Iterable[tuple[Numbering, int]]] = (),
-        frozen_rows: int = 0,
-    ) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Numbering, int] = {}
-        for nb, c in items:
-            if not c:
-                continue
-            sgn, canon = canonicalize(nb, frozen_rows)
-            c = acc.get(canon, 0) + c * sgn
-            if c:
-                acc[canon] = c
-            else:
-                acc.pop(canon, None)
-        self.terms = acc
-
-    def items(self) -> list[tuple[Numbering, int]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].key())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, NumberingVector):
-            return self.terms == other.terms
-        if isinstance(other, Mapping):
-            return self.terms == dict(other)
-        return NotImplemented
-
-
 @functools.cache
-def enumerate_syt(shape: Partition) -> tuple[Numbering, ...]:
-    """All standard numberings of the shape, ascending in the total order."""
+def enumerate_syt(shape: Partition) -> tuple[Rows, ...]:
+    """All standard fillings of the shape as row tuples, ascending in the
+    total order of numbering_key."""
     lengths = shape.parts
     fills = [0] * len(lengths)
     rows: list[list[int]] = [[] for _ in lengths]
-    out: list[Numbering] = []
+    out: list[Rows] = []
 
     def place(v: int) -> None:
         if v > shape.n:
-            out.append(Numbering(tuple(tuple(r) for r in rows)))
+            out.append(tuple(tuple(r) for r in rows))
             return
         for r in range(len(lengths)):
             c = fills[r]
@@ -235,7 +145,7 @@ def enumerate_syt(shape: Partition) -> tuple[Numbering, ...]:
             fills[r] -= 1
 
     place(1)
-    out.sort(key=Numbering.key)
+    out.sort(key=numbering_key)
     return tuple(out)
 
 
@@ -274,40 +184,29 @@ def enumerate_ssyt(
     if not rest:
         return (top,)
     return tuple(
-        top + tuple(tuple(x + a for x in row) for row in t.rows)
+        top + tuple(tuple(x + a for x in row) for row in t)
         for t in enumerate_syt(Partition(rest))
     )
 
 
-def numbering_of_subgraph(g: Graph, edges: Iterable[tuple[int, int]]) -> Numbering:
-    """Row numbering attached to a spanning subgraph of g.
+def standardize(filling: Sequence[Sequence[int]], target: Rows) -> Rows:
+    """Relabel a semistandard filling into the entries of target, a filling
+    given as row tuples.
 
-    Rows are the connected components of (V(g), edges), each sorted
-    ascending; rows are ordered by decreasing size, ties broken by
-    increasing minimum.
-    """
-    comps = connected_components(g.n, tuple(edges))
-    rows = sorted((tuple(c) for c in comps), key=lambda row: (-len(row), row[0]))
-    return Numbering(tuple(rows))
-
-
-def standardize(filling: Sequence[Sequence[int]], target: Numbering) -> Numbering:
-    """Relabel a semistandard filling into target's entries.
-
-    Value v of the filling must occur exactly len(target.rows[v-1]) times;
+    Value v of the filling must occur exactly len(target[v-1]) times;
     the stable sort of the filling's reading word then assigns target's
     reading word positionwise, sending equal values to one target row in
     increasing order.
     """
     rows = tuple(tuple(int(x) for x in row) for row in filling)
     wy = [x for row in rows for x in row]
-    wt = target.word()
+    wt = [x for row in target for x in row]
     if len(wy) != len(wt):
         raise ValueError(f"filling has {len(wy)} cells, target has {len(wt)}")
     counts = Counter(wy)
-    if sorted(counts) != list(range(1, len(target.rows) + 1)):
-        raise ValueError(f"filling values must be 1..{len(target.rows)}")
-    for v, row in enumerate(target.rows, start=1):
+    if sorted(counts) != list(range(1, len(target) + 1)):
+        raise ValueError(f"filling values must be 1..{len(target)}")
+    for v, row in enumerate(target, start=1):
         if counts[v] != len(row):
             raise ValueError(
                 f"value {v} occurs {counts[v]} times, target row has {len(row)} cells"
@@ -322,45 +221,13 @@ def standardize(filling: Sequence[Sequence[int]], target: Numbering) -> Numberin
     for row in rows:
         out.append(tuple(word[pos : pos + len(row)]))
         pos += len(row)
-    return Numbering(tuple(out))
+    return tuple(out)
 
 
-def pi_expand(s: Numbering, i: int, j: int) -> NumberingVector:
-    """Exchange relation at rows i, i+1 (1-indexed): the element of s equals
-    (-1)^j times the sum over exchanges of the first j entries of row i+1
-    with j-subsets of row i, each subset keeping its internal order.
-
-    Returns that expansion with canonicalized terms.
-    """
-    rows = s.rows
-    if not 1 <= i < len(rows):
-        raise ValueError(f"row index {i} out of range for {len(rows)} rows")
-    upper, lower = rows[i - 1], rows[i]
-    if not 1 <= j <= min(len(upper), len(lower)):
-        raise ValueError(f"exchange width {j} out of range")
-    moved = lower[:j]
-    rest = lower[j:]
-    sign = -1 if j % 2 else 1
-    pairs = []
-    for pos in itertools.combinations(range(len(upper)), j):
-        new_upper = list(upper)
-        for t, p in enumerate(pos):
-            new_upper[p] = moved[t]
-        new_lower = tuple(upper[p] for p in pos) + rest
-        nb = Numbering(rows[: i - 1] + (tuple(new_upper), new_lower) + rows[i + 1 :])
-        pairs.append((nb, sign))
-    return NumberingVector(pairs)
-
-
-Rows = tuple[tuple[int, ...], ...]
-Term = Union[Numbering, Rows]
-TermsLike = Union[Term, NumberingVector, Iterable[tuple[Term, int]]]
+# a filling to straighten: one row tuple, or (row tuple, coefficient) pairs
+TermsLike = Union[Rows, Iterable[tuple[Rows, int]]]
 
 STRAIGHTEN_STEP_LIMIT = 1_000_000
-
-
-def _rows(t: Term) -> Rows:
-    return t.rows if isinstance(t, Numbering) else t
 
 
 @functools.cache
@@ -449,14 +316,15 @@ def _rewrite(
 
 
 def straighten_columns(
-    vs: Sequence[TermsLike], basis: Sequence[Term], frozen_rows: int = 0
+    vs: Sequence[TermsLike], basis: Sequence[Rows], frozen_rows: int = 0
 ) -> list[list[int]]:
     """Integer coefficients of each of vs over basis, by exchange-relation
     rewriting with one memo shared by all of them.
 
-    A filling, as a term, an entry of vs or a basis entry, is a Numbering
-    or its plain row tuple; row tuples are taken as they are, unvalidated,
-    so fillings the program built itself need no Numbering.
+    Each entry of vs is one filling, a tuple of row tuples, or an iterable
+    (a list or a tuple) of (filling, integer coefficient) pairs; an empty
+    iterable is the zero vector.  Basis entries are fillings.  Fillings are
+    taken as they are, unvalidated.
 
     Rows above frozen_rows are never touched; each rewrite step takes the
     topmost violating row pair below the frozen prefix, the rightmost
@@ -479,7 +347,7 @@ def straighten_columns(
     memo local to the call: a filling that several rewrites reach is
     expanded once.  An explicit stack settles a filling after all the
     fillings its rewrite step produces.  The rewrite runs on plain row
-    tuples, keyed against basis rows; no Numbering is built per step.
+    tuples, keyed against basis rows.
 
     Raises StraighteningStalled when a violation-free term is not in the
     basis, when a filling's rewrite reaches that filling again (never on
@@ -487,7 +355,7 @@ def straighten_columns(
     STRAIGHTEN_STEP_LIMIT terms are settled, leaves included.
     """
     index: dict[Rows, int] = {}
-    for pos, b in enumerate(map(_rows, basis)):
+    for pos, b in enumerate(basis):
         if b in index:
             raise ValueError(f"duplicate basis entry: {b!r}")
         index[b] = pos
@@ -549,16 +417,14 @@ def straighten_columns(
 
     out = []
     for v in vs:
-        # a lone filling is a Numbering or a row tuple, whose first row
-        # starts with an int; anything else is (filling, coefficient) pairs
-        lone = isinstance(v, Numbering) or (
-            isinstance(v, tuple) and v and isinstance(v[0][0], int)
-        )
+        # a lone filling is a row tuple whose first row starts with an int;
+        # anything else is (filling, coefficient) pairs
+        lone = isinstance(v, tuple) and v and isinstance(v[0][0], int)
         column = [0] * len(basis)
         for t, c in [(v, 1)] if lone else v:
             if not c:
                 continue
-            sgn, canon = _canonical_rows(_rows(t), frozen_rows)
+            sgn, canon = _canonical_rows(t, frozen_rows)
             for pos, x in settle(canon).items():
                 column[pos] += c * sgn * x
         out.append(column)
@@ -566,8 +432,10 @@ def straighten_columns(
 
 
 def straighten(
-    v: TermsLike, basis: Sequence[Term], frozen_rows: int = 0
+    v: TermsLike, basis: Sequence[Rows], frozen_rows: int = 0
 ) -> list[int]:
-    """Integer coefficients of v over basis: straighten_columns([v], basis,
-    frozen_rows)[0], which documents the rewrite and its errors."""
+    """Integer coefficients of v, one filling or an iterable of (filling,
+    coefficient) pairs, over basis: straighten_columns([v], basis,
+    frozen_rows)[0], which documents the accepted forms, the rewrite and
+    its errors."""
     return straighten_columns([v], basis, frozen_rows)[0]

@@ -1,11 +1,18 @@
 """Pinned verification battery.
 
-Every check compares a live computation against a frozen expected value:
-tableau enumeration, standardization, exchange expansions, differential
-columns on the complete graph of order 5, both pinned torsion certificates,
-and the torsion groups they witness.  All values are exact; there are no
-tolerances.  The sabotage flag deliberately corrupts one expected sign so
-callers can confirm the battery is able to fail.
+Every check compares a live computation of the pipeline's own code against
+a frozen expected value: tableau enumeration, the standardized edge
+fillings of the degree-1 basis, straightening, differential columns on the
+complete graph of order 5, both pinned torsion certificates, and the
+torsion groups they witness.  The three exchange checks pin the
+coefficients that straighten gives over the standard fillings of the
+shape: a filling that one single-entry exchange straightens
+(exchange-single-entry), one whose two length-2 rows are only out of order,
+which swapping them straightens with no sign (exchange-two-entries), and a
+filling of shape (2, 2, 1, 1), the shape of the once-subdivided complete
+graph of order 5 (subdivision-rewrite).  All values are exact; there are
+no tolerances.  The sabotage flag deliberately corrupts one expected sign
+so callers can confirm the battery is able to fail.
 """
 
 from __future__ import annotations
@@ -18,16 +25,7 @@ from .certificates import canonical_certificates, seed_certificate, recheck_cert
 from .complexes import RestrictedComplex, build_restricted_complex
 from .graphs import complete_graph
 from .intlinalg import homology_group
-from .tableaux import (
-    NumberingVector,
-    Partition,
-    enumerate_ssyt,
-    enumerate_syt,
-    numbering,
-    numbering_of_subgraph,
-    pi_expand,
-    standardize,
-)
+from .tableaux import Partition, Rows, enumerate_ssyt, enumerate_syt, straighten
 
 __all__ = ["CheckResult", "run_battery", "BATTERY_NAMES"]
 
@@ -54,7 +52,7 @@ _PATTERNS_EXPECTED = (
     ((1, 1), (2, 4), (3,)),
 )
 
-# edge fillings: edge 1 = (1,2), edge 3 = (1,4) in lexicographic order
+# degree-1 basis fillings of the complete graph: (edge, copy) -> filling
 _STANDARDIZE_EXPECTED = {
     ((1, 2), 1): ((1, 2), (3, 4), (5,)),
     ((1, 2), 2): ((1, 2), (3, 5), (4,)),
@@ -83,7 +81,7 @@ def _fmt(ok: bool, got: object, want: object) -> tuple[bool, str]:
 
 
 def _check_syt() -> tuple[bool, str]:
-    got = tuple(t.rows for t in enumerate_syt(_SHAPE))
+    got = enumerate_syt(_SHAPE)
     return _fmt(got == _SYT_EXPECTED, got, _SYT_EXPECTED)
 
 
@@ -93,31 +91,32 @@ def _check_patterns() -> tuple[bool, str]:
 
 
 def _check_standardize() -> tuple[bool, str]:
-    g = complete_graph(5)
-    patterns = enumerate_ssyt(_SHAPE, Partition((2, 1, 1, 1)))
+    c = _k5_complex()
     for (edge, copy), want in _STANDARDIZE_EXPECTED.items():
-        t_e = numbering_of_subgraph(g, (edge,))
-        got = standardize(patterns[copy - 1], t_e).rows
+        i = c.graph.edges.index(edge) + 1
+        got = c.basis1[c.column_of_edge_copy[(i, copy)]][2]
         if got != want:
             return False, f"edge {edge} copy {copy}: got {got!r}, want {want!r}"
     return True, "matches pinned value"
 
 
+def _check_straighten(filling: Rows, want: dict[Rows, int]) -> tuple[bool, str]:
+    """straighten of filling over the standard fillings of its shape, as
+    {standard filling: nonzero coefficient}, against want."""
+    basis = enumerate_syt(Partition(tuple(map(len, filling))))
+    got = {b: c for b, c in zip(basis, straighten(filling, basis)) if c}
+    return _fmt(got == want, got, want)
+
+
 def _check_exchange_single() -> tuple[bool, str]:
-    got = pi_expand(numbering((1, 4), (2, 3), (5,)), 1, 1)
-    want = NumberingVector(
-        [
-            (numbering((1, 2), (3, 4), (5,)), -1),
-            (numbering((1, 3), (2, 4), (5,)), -1),
-        ]
+    return _check_straighten(
+        ((1, 4), (2, 3), (5,)),
+        {((1, 2), (3, 4), (5,)): -1, ((1, 3), (2, 4), (5,)): -1},
     )
-    return _fmt(got == want.terms, dict(got.terms), dict(want.terms))
 
 
 def _check_exchange_double() -> tuple[bool, str]:
-    got = pi_expand(numbering((2, 4), (1, 3), (5,)), 1, 2)
-    want = NumberingVector([(numbering((1, 3), (2, 4), (5,)), 1)])
-    return _fmt(got == want.terms, dict(got.terms), dict(want.terms))
+    return _check_straighten(((2, 4), (1, 3), (5,)), {((1, 3), (2, 4), (5,)): 1})
 
 
 def _check_dimensions() -> tuple[bool, str]:
@@ -151,14 +150,10 @@ def _make_d2_check(sabotage: bool) -> Callable[[], tuple[bool, str]]:
 
 
 def _check_subdivision_rewrite() -> tuple[bool, str]:
-    got = pi_expand(numbering((1, 5), (2, 3), (4,), (6,)), 1, 1)
-    want = NumberingVector(
-        [
-            (numbering((2, 5), (1, 3), (4,), (6,)), -1),
-            (numbering((1, 2), (3, 5), (4,), (6,)), -1),
-        ]
+    return _check_straighten(
+        ((1, 5), (2, 3), (4,), (6,)),
+        {((1, 3), (2, 5), (4,), (6,)): -1, ((1, 2), (3, 5), (4,), (6,)): -1},
     )
-    return _fmt(got == want.terms, dict(got.terms), dict(want.terms))
 
 
 def _check_seed(kind: str) -> tuple[bool, str]:

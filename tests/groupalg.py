@@ -13,7 +13,9 @@ underlying complex are genuine inclusions of group-algebra submodules, so
 differential columns fall out of exact rational expansion in these sums.
 Nothing here touches the exchange-relation rewriting, and the semistandard
 patterns come from the cell-by-cell backtracker in helpers.py, not from
-cshom.tableaux.enumerate_ssyt; that independence is the point.
+cshom.tableaux.enumerate_ssyt; that independence is the point.  Generators
+are Numbering objects from numbering.py; fillings taken from the package,
+which are plain row tuples, are wrapped in one.
 
 Permutations of {1..n} are tuples in one-line notation: p[i] is the image
 of i + 1.
@@ -33,14 +35,9 @@ from typing import Iterable, Mapping, Sequence
 from cshom.errors import CshomError
 from cshom.graphs import Graph, edge_pairs_by_type
 from cshom.intlinalg import HomologyResult, homology_group
-from cshom.tableaux import (
-    Numbering,
-    Partition,
-    enumerate_syt,
-    numbering_of_subgraph,
-    standardize,
-)
+from cshom.tableaux import Partition, enumerate_syt, standardize
 from helpers import reference_enumerate_ssyt
+from numbering import Numbering, numbering_of_subgraph
 
 __all__ = [
     "specht_vector",
@@ -149,7 +146,7 @@ def specht_vector(s: Numbering, ref: Numbering | None = None) -> GAVector:
     """
     s.check_content()
     if ref is None:
-        ref = enumerate_syt(s.shape)[0]
+        ref = Numbering(enumerate_syt(s.shape)[0])
     if ref.shape != s.shape:
         raise ValueError(f"shape mismatch: {s.shape.parts} vs {ref.shape.parts}")
     mapping = {}
@@ -239,7 +236,7 @@ def oracle_restricted_matrices(
     if k is None or k < 1 or shape.n != n:
         raise ValueError(f"shape {shape.parts!r} is not two-column for n={n}")
 
-    syt = enumerate_syt(shape)
+    syt = [Numbering(y) for y in enumerate_syt(shape)]
     ref = syt[0]
     basis0 = [specht_vector(y, ref) for y in syt]
 
@@ -249,7 +246,7 @@ def oracle_restricted_matrices(
     x_vectors: list[list[GAVector]] = []
     for e in g.edges:
         t_e = numbering_of_subgraph(g, (e,))
-        block = [standardize(z, t_e) for z in patterns]
+        block = [Numbering(standardize(z, t_e.rows)) for z in patterns]
         x_fillings.append(block)
         x_vectors.append([specht_vector(x, ref) for x in block])
 
@@ -272,7 +269,7 @@ def oracle_restricted_matrices(
     for p, (i, j) in enumerate(noncons):
         t_f = numbering_of_subgraph(g, (g.edges[i], g.edges[j]))
         for l, pat in enumerate(w_patterns):
-            w = specht_vector(standardize(pat, t_f), ref)
+            w = specht_vector(Numbering(standardize(pat, t_f.rows)), ref)
             col = p * wcopies + l
             # removing the lower edge lands in the kept-upper block, sign +
             for s, v in enumerate(expand_in_basis(w, x_vectors[j])):

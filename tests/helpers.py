@@ -2,11 +2,16 @@
 only to judge the Smith normal form, graphs that recur across suites, the
 cell-by-cell semistandard backtracker that judges enumerate_ssyt, the
 Numbering-based rewrite with its full-scan violation finder that judges
-straighten, the per-edge degree-1 basis and per-column complex build that judge
-degree1_basis and build_restricted_complex, the unpruned Kuratowski search
-that judges _search_subdivision, and the numpy Smith normal form that
-judges smith_normal_form, and a call budget that stops a runaway
-computation by counting calls instead of timing it."""
+straighten, the per-edge degree-1 basis and per-column complex build that
+judge degree1_basis and build_restricted_complex, the unpruned Kuratowski
+search that judges _search_subdivision, and the numpy Smith normal form
+that judges smith_normal_form, and a call budget that stops a runaway
+computation by counting calls instead of timing it.
+
+The reference rewrite and builds take their numberings, canonical forms
+and subgraph numberings from the test-only Numbering layer in
+numbering.py, which the package never imports; every filling they hand to
+or take from the package is a plain tuple of row tuples."""
 
 import contextlib
 import functools
@@ -35,15 +40,13 @@ from cshom.intlinalg import _dims, mat_mul
 from cshom.survey import generate_connected_graphs
 from cshom.tableaux import (
     STRAIGHTEN_STEP_LIMIT,
-    Numbering,
     Partition,
-    canonicalize,
     enumerate_syt,
     numbering_key,
-    numbering_of_subgraph,
     standardize,
     straighten,
 )
+from numbering import Numbering, canonicalize, numbering_of_subgraph
 
 
 def determinant(m):
@@ -285,7 +288,8 @@ def reference_straighten(v, basis, frozen_rows=0):
 @functools.cache
 def _violation_free_fillings(shape, frozen_rows):
     """Every canonical filling of the shape with no violation below the
-    frozen prefix: a basis on which straightening never stalls."""
+    frozen prefix, as row tuples: a basis on which straightening never
+    stalls."""
     out = set()
     for perm in permutations(range(1, shape.n + 1)):
         rows, pos = [], 0
@@ -294,8 +298,8 @@ def _violation_free_fillings(shape, frozen_rows):
             pos += length
         _, canon = canonicalize(Numbering(tuple(rows)), frozen_rows)
         if _violation(canon.rows, frozen_rows) is None:
-            out.add(canon)
-    return tuple(sorted(out, key=Numbering.key))
+            out.add(canon.rows)
+    return tuple(sorted(out, key=numbering_key))
 
 
 def reference_degree1_basis(g, shape):
@@ -314,15 +318,15 @@ def reference_degree1_basis(g, shape):
     basis1 = []
     for i, e in enumerate(g.edges, start=1):
         t_e = numbering_of_subgraph(g, (e,))
-        block = [standardize(z, t_e) for z in patterns]
+        block = [standardize(z, t_e.rows) for z in patterns]
         for x in block:
-            if x.rows[0] != e:
-                raise AssertionError(f"filling {x.rows!r} does not start with {e!r}")
-            if not _standard_below(x.rows, 1):
-                raise AssertionError(f"filling {x.rows!r} is not standard below the edge")
-        if [x.rows for x in sorted(block, key=Numbering.key)] != [x.rows for x in block]:
+            if x[0] != e:
+                raise AssertionError(f"filling {x!r} does not start with {e!r}")
+            if not _standard_below(x, 1):
+                raise AssertionError(f"filling {x!r} is not standard below the edge")
+        if sorted(block, key=numbering_key) != block:
             raise AssertionError("edge block must be listed in ascending order")
-        basis1.extend((i, j, x.rows) for j, x in enumerate(block, start=1))
+        basis1.extend((i, j, x) for j, x in enumerate(block, start=1))
     return tuple(basis1)
 
 
@@ -353,14 +357,14 @@ def reference_build_restricted_complex(g, shape):
             block_j = fillings1[j0 * kcopies : (j0 + 1) * kcopies]
             t_f = numbering_of_subgraph(g, (ei, ej))
             for l, pat in enumerate(w_patterns, start=1):
-                w = standardize(pat, t_f)
-                if w.rows[0] != ei or w.rows[1] != ej:
+                w = standardize(pat, t_f.rows)
+                if w[0] != ei or w[1] != ej:
                     raise AssertionError(
-                        f"pair filling {w.rows!r} does not start with {ei!r}, {ej!r}"
+                        f"pair filling {w!r} does not start with {ei!r}, {ej!r}"
                     )
-                basis2.append(((i0 + 1, j0 + 1), l, w.rows))
+                basis2.append(((i0 + 1, j0 + 1), l, w))
                 col = [0] * len(basis1)
-                kept_j = Numbering((w.rows[1], w.rows[0]) + w.rows[2:])
+                kept_j = (w[1], w[0]) + w[2:]
                 for s, v in enumerate(straighten(kept_j, block_j, frozen_rows=1)):
                     col[j0 * kcopies + s] = v
                 for s, v in enumerate(straighten(w, block_i, frozen_rows=1)):

@@ -106,6 +106,19 @@ def test_internal_failure_exit_code(tmp_path, capsys, monkeypatch, command, targ
     assert "Traceback" not in err
 
 
+def test_out_of_memory_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("cshom.cli.build_restricted_complex", exhausted)
+    g = _write_graph(tmp_path, "k5.txt", K5_EDGE_LIST)
+    assert main(["homology", g]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal failure: out of memory")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_homology_bad_input(tmp_path, capsys):
     g = _write_graph(tmp_path, "bad.txt", "not a graph\n")
     assert main(["homology", g]) == 2

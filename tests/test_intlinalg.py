@@ -767,8 +767,9 @@ doc = json.loads(json.dumps(certificate_to_dict(certify_nonplanar(petersen_graph
 cert = certificate_from_dict(doc)
 assert check_certificate(cert, cert.complex).valid
 assert all(r.passed for r in run_battery())
-# neither numpy nor a test-side module (the oracle, the test helpers)
-print(sorted({"numpy", "groupalg", "helpers"} & set(sys.modules)))
+# neither numpy nor a test-side module (the oracle, the test helpers, the
+# Numbering layer)
+print(sorted({"numpy", "groupalg", "helpers", "numbering"} & set(sys.modules)))
 """
 
 

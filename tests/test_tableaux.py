@@ -10,15 +10,9 @@ from cshom.certificates import certify_nonplanar
 from cshom.complexes import build_restricted_complex
 from cshom.errors import StraighteningStalled
 from cshom.tableaux import (
-    Numbering,
-    NumberingVector,
     Partition,
-    canonicalize,
     enumerate_ssyt,
     enumerate_syt,
-    numbering,
-    numbering_of_subgraph,
-    pi_expand,
     standardize,
     straighten,
     straighten_columns,
@@ -31,6 +25,14 @@ from helpers import (
     k5_six_subdivided,
     reference_enumerate_ssyt,
     reference_straighten,
+)
+from numbering import (
+    Numbering,
+    NumberingVector,
+    canonicalize,
+    numbering,
+    numbering_of_subgraph,
+    pi_expand,
 )
 
 
@@ -85,7 +87,7 @@ def test_canonicalize_frozen_rows_stay_in_place():
 
 
 def test_enumerate_syt_pinned():
-    got = tuple(t.rows for t in enumerate_syt(Partition((2, 2, 1))))
+    got = enumerate_syt(Partition((2, 2, 1)))
     assert got == (
         ((1, 2), (3, 4), (5,)),
         ((1, 2), (3, 5), (4,)),
@@ -119,7 +121,7 @@ def _brute_force_syt(shape: Partition) -> set:
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 2), (6, 3), (7, 2), (7, 3)])
 def test_enumerate_syt_matches_brute_force(n, k):
     shape = Partition.two_column(n, k)
-    got = [t.rows for t in enumerate_syt(shape)]
+    got = list(enumerate_syt(shape))
     assert set(got) == _brute_force_syt(shape)
     assert got == sorted(got, key=lambda rows: tuple(tuple(reversed(r)) for r in rows))
 
@@ -173,14 +175,14 @@ def test_standardize_pinned_edge_fillings():
     g = complete_graph(5)
     patterns = enumerate_ssyt(Partition((2, 2, 1)), Partition((2, 1, 1, 1)))
     t14 = numbering_of_subgraph(g, ((1, 4),))
-    assert standardize(patterns[0], t14).rows == ((1, 4), (2, 3), (5,))
-    assert standardize(patterns[1], t14).rows == ((1, 4), (2, 5), (3,))
+    assert standardize(patterns[0], t14.rows) == ((1, 4), (2, 3), (5,))
+    assert standardize(patterns[1], t14.rows) == ((1, 4), (2, 5), (3,))
     t12 = numbering_of_subgraph(g, ((1, 2),))
-    assert standardize(patterns[0], t12).rows == ((1, 2), (3, 4), (5,))
+    assert standardize(patterns[0], t12.rows) == ((1, 2), (3, 4), (5,))
 
 
 def test_standardize_rejects_wrong_multiplicities():
-    target = numbering((1, 4), (2, 3), (5,))
+    target = ((1, 4), (2, 3), (5,))
     with pytest.raises(ValueError):
         standardize(((1, 2), (3, 4), (5,)), target)  # value 1 must occur twice
 
@@ -260,9 +262,9 @@ def test_pi_expansion_holds_in_group_algebra(nb, data):
 @given(two_column_numberings())
 def test_straighten_agrees_with_rational_expansion(nb):
     basis = enumerate_syt(nb.shape)
-    got = straighten(nb, basis)
+    got = straighten(nb.rows, basis)
     want = expand_in_basis(
-        specht_vector(nb), [specht_vector(b) for b in basis]
+        specht_vector(nb), [specht_vector(Numbering(b)) for b in basis]
     )
     assert got == want
 
@@ -270,12 +272,12 @@ def test_straighten_agrees_with_rational_expansion(nb):
 @given(two_column_numberings())
 def test_straighten_result_reconstructs_vector(nb):
     basis = enumerate_syt(nb.shape)
-    coeffs = straighten(nb, basis)
+    coeffs = straighten(nb.rows, basis)
     total: dict = {}
     for c, b in zip(coeffs, basis):
         if not c:
             continue
-        for perm, v in specht_vector(b).items():
+        for perm, v in specht_vector(Numbering(b)).items():
             total[perm] = total.get(perm, 0) + c * v
     lhs = specht_vector(nb)
     assert {k: v for k, v in total.items() if v} == {
@@ -285,11 +287,34 @@ def test_straighten_result_reconstructs_vector(nb):
 
 def test_straighten_linear_combination_input():
     basis = enumerate_syt(Partition((2, 2, 1)))
-    pairs = [(numbering((1, 4), (2, 3), (5,)), 2), (numbering((1, 2), (3, 4), (5,)), 1)]
+    pairs = [(((1, 4), (2, 3), (5,)), 2), (((1, 2), (3, 4), (5,)), 1)]
     got = straighten(pairs, basis)
     a = straighten(pairs[0][0], basis)
     b = straighten(pairs[1][0], basis)
     assert got == [2 * x + y for x, y in zip(a, b)]
+
+
+_K5_SYT = enumerate_syt(Partition((2, 2, 1)))
+
+
+def test_straighten_takes_a_lone_row_tuple():
+    assert straighten(((1, 4), (2, 3), (5,)), _K5_SYT) == [-1, 0, -1, 0, 0]
+
+
+def test_straighten_takes_a_list_of_pairs():
+    pairs = [(((1, 4), (2, 3), (5,)), 2), (((1, 3), (2, 5), (4,)), -1)]
+    assert straighten(pairs, _K5_SYT) == [-2, 0, -2, -1, 0]
+
+
+def test_straighten_takes_a_tuple_of_pairs():
+    pairs = ((((1, 4), (2, 3), (5,)), 2), (((1, 3), (2, 5), (4,)), -1))
+    assert straighten(pairs, _K5_SYT) == [-2, 0, -2, -1, 0]
+
+
+def test_straighten_columns_takes_empty_inputs():
+    assert straighten_columns([], _K5_SYT) == []
+    # an empty iterable of pairs is the zero vector
+    assert straighten_columns([[], ()], _K5_SYT) == [[0] * 5, [0] * 5]
 
 
 def test_straighten_stalls_outside_basis_and_past_budget(monkeypatch):
@@ -338,13 +363,13 @@ def test_straighten_matches_reference_on_every_pipeline_call(monkeypatch):
             mismatches.append((v, frozen_rows))
 
     def checked(v, basis, frozen_rows=0):
-        v = v if isinstance(v, (Numbering, tuple)) else list(v)
+        v = v if isinstance(v, tuple) else list(v)
         got = straighten(v, basis, frozen_rows)
         check(v, got, basis, frozen_rows)
         return got
 
     def checked_columns(vs, basis, frozen_rows=0):
-        vs = [v if isinstance(v, (Numbering, tuple)) else list(v) for v in vs]
+        vs = [v if isinstance(v, tuple) else list(v) for v in vs]
         got = straighten_columns(vs, basis, frozen_rows)
         for v, column in zip(vs, got):
             check(v, column, basis, frozen_rows)
@@ -380,14 +405,14 @@ def test_straighten_matches_reference_on_linear_combinations(data):
     shape = first.shape
     frozen_rows = data.draw(st.integers(0, shape.two_column_rows()))
     coeffs = st.integers(-3, 3).filter(bool)
-    pairs = [(first, data.draw(coeffs))]
+    pairs = [(first.rows, data.draw(coeffs))]
     for _ in range(data.draw(st.integers(0, 3))):
         perm = data.draw(st.permutations(list(range(1, shape.n + 1))))
         rows, pos = [], 0
         for length in shape.parts:
             rows.append(tuple(perm[pos : pos + length]))
             pos += length
-        pairs.append((Numbering(tuple(rows)), data.draw(coeffs)))
+        pairs.append((tuple(rows), data.draw(coeffs)))
     basis = _violation_free_fillings(shape, frozen_rows)
     assert straighten(pairs, basis, frozen_rows) == reference_straighten(
         pairs, basis, frozen_rows
@@ -403,7 +428,7 @@ def _draw_combination(data, shape):
         for length in shape.parts:
             rows.append(tuple(perm[pos : pos + length]))
             pos += length
-        pairs.append((Numbering(tuple(rows)), data.draw(coeffs)))
+        pairs.append((tuple(rows), data.draw(coeffs)))
     return pairs
 
 
@@ -412,7 +437,7 @@ def test_straighten_columns_matches_straighten_per_column(data):
     first = _two_column_numbering(data.draw, 5, 7, k_min=1)
     shape = first.shape
     frozen_rows = data.draw(st.integers(0, shape.two_column_rows()))
-    vs = [first] + [
+    vs = [first.rows] + [
         _draw_combination(data, shape) for _ in range(data.draw(st.integers(0, 4)))
     ]
     basis = _violation_free_fillings(shape, frozen_rows)
@@ -433,9 +458,8 @@ def test_straighten_columns_matches_straighten_on_complex_blocks():
     top = block[0][0]
     pairs = [w for _, _, w in c.basis2 if w[0] == top]
     assert len(pairs) > 10
-    # fillings as row tuples and as Numberings, alone and as weighted terms
-    vs = pairs + [Numbering(rows) for rows in pairs]
-    vs += [[(r, 2) for r in pairs], [(Numbering(r), 2) for r in pairs]]
+    # fillings alone and as weighted terms, in a list and in a tuple
+    vs = pairs + [[(r, 2) for r in pairs], tuple((r, 2) for r in pairs)]
     assert straighten_columns(vs, block, frozen_rows=1) == [
         straighten(v, block, frozen_rows=1) for v in vs
     ]
@@ -443,10 +467,10 @@ def test_straighten_columns_matches_straighten_on_complex_blocks():
 
 
 def test_straighten_rejects_frozen_rows_past_the_shape():
-    v = numbering((1, 3), (2, 4), (5,))
-    basis = enumerate_syt(v.shape)
+    v = ((1, 3), (2, 4), (5,))
+    basis = enumerate_syt(Partition((2, 2, 1)))
     with pytest.raises(ValueError, match="frozen_rows out of range"):
-        straighten(v, basis, frozen_rows=len(v.rows) + 1)
+        straighten(v, basis, frozen_rows=len(v) + 1)
 
 
 def test_straighten_builds_no_numbering_per_rewrite_step(monkeypatch):
@@ -455,7 +479,7 @@ def test_straighten_builds_no_numbering_per_rewrite_step(monkeypatch):
     column = c.basis1[-1][2]
     want = reference_straighten(column, c.basis0)
     # the column needs rewrite steps
-    assert Numbering(column) not in c.basis0
+    assert column not in c.basis0
     assert sum(1 for x in want if x) > 1
 
     constructed = []
