@@ -1,17 +1,18 @@
 """Torsion certificates for non-planar graphs.
 
-Two seed certificates (one per Kuratowski kind) are pinned as explicit
-generator combinations, built and verified once per process.  A certificate
+Two seed certificates (one per Kuratowski kind) are pinned by their
+degree-2 witnesses x, built and verified once per process.  A certificate
 for an arbitrary non-planar graph is produced by locating a Kuratowski
-subdivision, carrying the seed cycle through all of its subdivisions in one
-stage, and embedding the result into the input graph in a second, relabeling
-stage.  A stage reads the source fillings from the complex the certificate
-carries, rewrites them as plain row tuples, and builds, straightens on and
-solves over only the target complex.  Every stage re-solves for the degree-2
-witness and re-verifies all three certificate checks, so any defect in the
-rewriting surfaces as LiftFailed rather than as a wrong certificate.
-Certificates are immutable, so the cached seeds are shared as they are;
-provenance goes onto a copy.
+subdivision and carrying the seed witness along it by the chain maps of
+the complex at k = 2: through all of its subdivisions in one stage, then
+into the input graph by a relabeling in a second stage.  Both maps send a
+degree-2 generator, a disjoint edge pair, to signed edge pairs, so the
+transport needs no straightening and no solving.  On the complex a stage
+builds for its target the cycle is read off as h = d2 x / p, and all
+three certificate checks are re-run there, so a defect in the maps
+surfaces as LiftFailed rather than as a wrong certificate.  Certificates
+are immutable, so the cached seeds are shared as they are; provenance
+goes onto a copy.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .complexes import RestrictedComplex, build_restricted_complex
-from .errors import LiftFailed, NotASubgraph, PlanarInput, StraighteningStalled
+from .errors import LiftFailed, NotASubgraph, PlanarInput
 from .graphs import (
+    Edge,
     Graph,
     complete_bipartite,
     complete_graph,
@@ -34,9 +36,9 @@ from .intlinalg import (
     CertificateVerdict,
     TorsionCertificate,
     check_certificate,
-    solve_integer,
+    mat_vec,
 )
-from .tableaux import Partition, Rows, straighten
+from .tableaux import Partition, sort_sign
 
 __all__ = [
     "CanonicalSeed",
@@ -53,19 +55,21 @@ __all__ = [
 
 CERTIFICATE_FORMAT = "cshom.certificate/1"
 
+# a k = 2 witness: {(e, f): coeff} over disjoint edge pairs, e before f
+Pairs = dict[tuple[Edge, Edge], int]
+
 
 @dataclass(frozen=True)
 class CanonicalSeed:
     """Pinned torsion data on a smallest non-planar graph.
 
-    h_terms: (edge_index, copy, coeff); g_terms: (i, j, copy, coeff); all
-    indices 1-based in the seed graph's own edge order.
+    g_terms: (i, j, copy, coeff), the degree-2 witness x, with indices
+    1-based in the seed graph's own edge order.  The cycle is d2 x / 2.
     """
 
     kind: str
     graph: Graph
     shape: Partition
-    h_terms: tuple[tuple[int, int, int], ...]
     g_terms: tuple[tuple[int, int, int, int], ...]
 
 
@@ -91,7 +95,6 @@ class LiftTrace:
     steps: tuple[LiftStep, ...]
 
 
-_K5_H = ((9, 1, 1), (10, 1, 1), (2, 1, -1), (7, 2, 1), (9, 2, 1))
 _K5_G = (
     (1, 8, 1, 1), (1, 9, 1, 1), (1, 10, 1, 1),
     (2, 6, 1, 1), (2, 7, 1, -1), (2, 10, 1, -1),
@@ -102,7 +105,6 @@ _K5_G = (
 # The bipartite terms are written for this assignment of labels 1..6 to the
 # two sides; side 0 holds vertex 1.
 _K33_SIDES = ((1, 3, 5), (2, 4, 6))
-_K33_H = ((6, 3, 1), (7, 3, -1), (8, 3, 1), (9, 2, -1))
 _K33_G = (
     (1, 6, 1, 1), (1, 7, 1, -1), (1, 8, 1, 1), (1, 9, 1, 1),
     (2, 4, 1, -1), (2, 5, 1, -1), (2, 7, 1, 1), (2, 9, 1, 1),
@@ -124,14 +126,12 @@ def canonical_certificates() -> tuple[CanonicalSeed, CanonicalSeed]:
             kind="K5",
             graph=complete_graph(5),
             shape=Partition.two_column(5, 2),
-            h_terms=_K5_H,
             g_terms=_K5_G,
         ),
         CanonicalSeed(
             kind="K33",
             graph=complete_bipartite(*_K33_SIDES),
             shape=Partition.two_column(6, 2),
-            h_terms=_K33_H,
             g_terms=_K33_G,
         ),
     )
@@ -142,65 +142,55 @@ def canonical_certificates() -> tuple[CanonicalSeed, CanonicalSeed]:
 
 @functools.cache
 def seed_certificate(seed: CanonicalSeed) -> TorsionCertificate:
-    """Dense certificate of a seed on its complex, built and verified once
-    per process."""
+    """Certificate of a seed on its complex, its cycle read off the pinned
+    witness, built and verified once per process."""
     complex = build_restricted_complex(seed.graph, seed.shape)
-    h = [0] * len(complex.basis1)
-    for i, j, v in seed.h_terms:
-        h[complex.column_of_edge_copy[(i, j)]] += v
-    x = [0] * len(complex.basis2)
-    for i, j, l, v in seed.g_terms:
-        x[complex.column_of_pair_copy[(i, j, l)]] += v
-    cert = TorsionCertificate(
-        graph=seed.graph, shape=seed.shape, h=h, witness_x=x, prime=2,
-        complex=complex,
-    )
-    if not check_certificate(cert, complex).valid:
-        raise AssertionError(f"seed {seed.kind} failed verification")
-    return cert
+    edges = seed.graph.edges
+    x = {(edges[i - 1], edges[j - 1]): v for i, j, _, v in seed.g_terms}
+    return _finish_lift(complex, x, 2, f"seed {seed.kind}")
 
 
-def _cascade_terms(rows: Rows, new_label: int) -> list[tuple[int, Rows]]:
-    """Rewrite (broken-edge filling + appended new-vertex box) so the new
-    vertex reaches the top row.
+def _witness_pairs(cert: TorsionCertificate) -> Pairs:
+    """The certificate's witness as {(e, f): coeff} over disjoint edge
+    pairs, e before f in edge order.
 
-    Repeated single-entry exchanges with the row above; each exchange flips
-    the sign and branches over the upper row's entries.  The final exchange
-    replaces one endpoint of the old top-row pair, so every leaf's top row
-    is one of the two replacement edges.
+    At k = 2 each such pair spans one degree-2 generator W_{e,f}, whose
+    filling is the two edges and then the singletons in order.  Raises
+    ValueError at any other k.
     """
-    start = rows + ((new_label,),)
-    work: list[tuple[int, Rows, int]] = [(1, start, len(start) - 1)]
-    leaves: list[tuple[int, Rows]] = []
-    while work:
-        c, rows, p = work.pop()
-        if p == 0:
-            leaves.append((c, rows))
-            continue
-        upper, lower = rows[p - 1], rows[p]
-        pos = lower.index(new_label)
-        rest = lower[:pos] + lower[pos + 1 :]
-        for t, y in enumerate(upper):
-            nu = upper[:t] + (new_label,) + upper[t + 1 :]
-            nrows = rows[: p - 1] + (nu, (y,) + rest) + rows[p + 1 :]
-            work.append((-c, nrows, p - 1))
-    return leaves
+    if cert.shape.two_column_rows() != 2:
+        raise ValueError(f"lifts carry k = 2 witnesses, not shape {cert.shape.parts!r}")
+    basis2 = _complex_of(cert).basis2
+    return {rows[:2]: c for (_, _, rows), c in zip(basis2, cert.witness_x) if c}
+
+
+def _add(x: Pairs, e: Edge, f: Edge, coeff: int) -> None:
+    """x += coeff W_{e,f}; swapping the two edges flips the sign."""
+    if e > f:
+        e, f, coeff = f, e, -coeff
+    x[(e, f)] = x.get((e, f), 0) + coeff
 
 
 def _finish_lift(
-    complex: RestrictedComplex, h: list[int], prime: int, stage: str
+    complex: RestrictedComplex, x: Pairs, prime: int, stage: str
 ) -> TorsionCertificate:
-    """Solve for the degree-2 witness and re-verify; LiftFailed otherwise."""
+    """Put the witness pairs on the complex, read the cycle off as
+    h = d2 x / prime and verify; LiftFailed otherwise."""
+    index = {e: i for i, e in enumerate(complex.graph.edges, start=1)}
+    vec = [0] * len(complex.basis2)
+    for (e, f), coeff in x.items():
+        vec[complex.column_of_pair_copy[(index[e], index[f], 1)]] += coeff
+    dx = mat_vec(complex.d2, vec)
+    if any(v % prime for v in dx):
+        raise LiftFailed(f"{stage}: d2 x is not divisible by {prime}")
+    h = [v // prime for v in dx]
     if not any(h):
         raise LiftFailed(f"{stage}: lifted cycle vanished")
-    x = solve_integer(complex.d2, [prime * v for v in h])
-    if x is None:
-        raise LiftFailed(f"{stage}: {prime}h has no preimage under d2")
     cert = TorsionCertificate(
         graph=complex.graph,
         shape=complex.shape,
         h=h,
-        witness_x=x,
+        witness_x=vec,
         prime=prime,
         complex=complex,
     )
@@ -210,60 +200,46 @@ def _finish_lift(
     return cert
 
 
-def _lift_onto(
-    cert: TorsionCertificate,
-    target: Graph,
-    terms: list[tuple[Rows, int]],
-    stage: str,
-) -> TorsionCertificate:
-    """Straighten transported cycle terms, given as row tuples, on the
-    target complex at the certificate's k, then solve and verify there."""
-    shape = Partition.two_column(target.n, cert.shape.two_column_rows())
-    complex = build_restricted_complex(target, shape)
-    try:
-        h = straighten(terms, [f for _, _, f in complex.basis1], frozen_rows=1)
-    except StraighteningStalled as exc:
-        raise LiftFailed(f"{stage}: {exc}") from exc
-    return _finish_lift(complex, h, cert.prime, stage)
-
-
-def _cycle_rows(cert: TorsionCertificate) -> list[tuple[Rows, int]]:
-    """The certificate's cycle as (filling rows, coefficient) terms."""
-    basis1 = _complex_of(cert).basis1
-    return [(basis1[col][2], coeff) for col, coeff in enumerate(cert.h) if coeff]
-
-
 def lift_subdivision(
     cert: TorsionCertificate, edges: Sequence[tuple[int, int]]
 ) -> TorsionCertificate:
-    """Transport a certificate across a chain of edge subdivisions.
+    """Transport a k = 2 certificate across a chain of edge subdivisions.
 
     The i-th edge of `edges` is an edge of the graph after the first i - 1
-    subdivisions, and is split by the next vertex label, n + i.  The cycle
-    terms are carried through every subdivision as plain row tuples: a term
-    whose top row is the broken edge is rewritten by the exchange cascade,
-    any other term gains the new vertex as a final singleton box.  The terms
-    are straightened once, on the complex of the last graph, and the
-    witness is solved and verified there, so the whole chain is one stage.
+    subdivisions, and is split by the next vertex label, n + i.  The
+    witness is carried through every subdivision of b = (u, v) by w: a
+    pair without b is unchanged, w becoming its last singleton.  A pair
+    (q, b) goes to the two pairs (q, (v, w)), with u made a singleton, and
+    (q, (u, w)), with v made one: the new vertex cascades up the singleton
+    rows and is exchanged into b, as the degree-1 exchange relation does.
+    Each carries -(-1)^|S| times the sort sign of the freed endpoint
+    followed by the pair's other singletons S, and a further -1 if b was
+    written first.  The complex of the last graph is built once and the
+    cycle read off and verified there, so the whole chain is one stage.
     """
     broken = [(min(edge), max(edge)) for edge in edges]
     if not broken:
         raise ValueError("no edge to subdivide")
+    x = _witness_pairs(cert)
     g = cert.graph
-    terms = _cycle_rows(cert)
-    for e in broken:
-        if e not in g.edges:
-            raise ValueError(f"{e!r} is not an edge of the subdivided graph")
-        g = subdivide(g, e)
-        w = g.n
-        carried: list[tuple[Rows, int]] = []
-        for rows, coeff in terms:
-            if tuple(sorted(rows[0])) == e:
-                carried += [(leaf, sgn * coeff) for sgn, leaf in _cascade_terms(rows, w)]
-            else:
-                carried.append((rows + ((w,),), coeff))
-        terms = carried
-    return _lift_onto(cert, g, terms, f"subdivision lift along {broken!r}")
+    for b in broken:
+        if b not in g.edges:
+            raise ValueError(f"{b!r} is not an edge of the subdivided graph")
+        (u, v), w = b, g.n + 1
+        carried: Pairs = {}
+        for (e, f), coeff in x.items():
+            if b not in (e, f):
+                carried[(e, f)] = coeff
+                continue
+            q = f if e == b else e
+            rest = [s for s in range(1, w) if s not in q and s not in b]
+            sign = (1 if e == b else -1) * (-1) ** len(rest)
+            for new, freed in (((v, w), u), ((u, w), v)):
+                _add(carried, q, new, sign * sort_sign([freed] + rest) * coeff)
+        x = carried
+        g = subdivide(g, b)
+    complex = build_restricted_complex(g, Partition.two_column(g.n, 2))
+    return _finish_lift(complex, x, cert.prime, f"subdivision lift along {broken!r}")
 
 
 def lift_subgraph(
@@ -271,13 +247,16 @@ def lift_subgraph(
     host: Graph,
     embedding: Optional[Mapping[int, int]] = None,
 ) -> TorsionCertificate:
-    """Transport a certificate along a subgraph embedding into a host graph.
+    """Transport a k = 2 certificate along a subgraph embedding into a host
+    graph.
 
     embedding maps certificate-graph vertices to host vertices (identity
-    when omitted) and must carry edges to edges.  Each cycle term gains
-    singleton boxes n+1.. for the spare host vertices, taken in increasing
-    order, is relabeled into the host and straightened on the host complex.
-    The identity embedding returns the certificate after re-checking it.
+    when omitted) and must carry edges to edges.  The spare host vertices
+    take the labels n+1.. in increasing order, and tau is the resulting
+    relabeling.  Each witness pair (e, f) goes to (tau e, tau f), signed by
+    the sort sign of its relabeled singletons; the cycle is read off and
+    verified on the host complex.  The identity embedding returns the
+    certificate after re-checking it.
     """
     g = cert.graph
     if embedding is None:
@@ -292,6 +271,7 @@ def lift_subgraph(
         a, b = emb[u], emb[v]
         if not host.has_edge(a, b):
             raise NotASubgraph(f"edge {(u, v)!r} maps to non-edge {(a, b)!r}")
+    pairs = _witness_pairs(cert)  # refuses k != 2, the identity included
 
     if host == g and all(emb[v] == v for v in range(1, g.n + 1)):
         verdict = check_certificate(cert, _complex_of(cert))
@@ -301,12 +281,13 @@ def lift_subgraph(
 
     spare = sorted(set(range(1, host.n + 1)) - set(image))
     tau = {**emb, **dict(zip(range(g.n + 1, host.n + 1), spare))}
-    boxes = tuple((t,) for t in range(g.n + 1, host.n + 1))
-    terms = [
-        (tuple(tuple(tau[x] for x in r) for r in rows + boxes), coeff)
-        for rows, coeff in _cycle_rows(cert)
-    ]
-    return _lift_onto(cert, host, terms, "subgraph embedding")
+    x: Pairs = {}
+    for (e, f), coeff in pairs.items():
+        singles = [tau[s] for s in range(1, host.n + 1) if s not in e and s not in f]
+        te, tf = (tuple(sorted(map(tau.__getitem__, edge))) for edge in (e, f))
+        _add(x, te, tf, sort_sign(singles) * coeff)
+    complex = build_restricted_complex(host, Partition.two_column(host.n, 2))
+    return _finish_lift(complex, x, cert.prime, "subgraph embedding")
 
 
 def certify_nonplanar(g: Graph) -> TorsionCertificate:

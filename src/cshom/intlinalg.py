@@ -165,10 +165,11 @@ def kernel_basis(m: Matrix) -> list[list[int]]:
     column is free and gives a unit generator, listed first in column
     order; the kernel columns of the residual's SNF V follow.  The pivot
     coordinates are then fixed by back-substitution in reverse elimination
-    order, composed once into a map from the non-pivot columns.  Projecting the kernel onto the non-pivot coordinates is a
-    bijection onto Z^free (+) ker(residual), and V is unimodular, so the
-    columns generate the full, saturated kernel lattice.  Each column's
-    first nonzero entry is positive for deterministic output.
+    order, composed once into a map from the non-pivot columns.  Projecting
+    the kernel onto the non-pivot coordinates is a bijection onto Z^free
+    (+) ker(residual), and V is unimodular, so the columns generate the
+    full, saturated kernel lattice.  Each column's first nonzero entry is
+    positive for deterministic output.
     """
     _, c = _dims(m)
     pivots, rows = _eliminate(_sparse_rows(m))

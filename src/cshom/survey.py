@@ -72,9 +72,10 @@ def survey_one(
 
     tables goes to the scan builds (see build_restricted_complex), which
     share their graph-independent parts with every build given the same
-    dict; the certificate's builds do not take it.  Recoverable library errors land in the record's error field.  A
-    non-planar graph with a clean scan but no detected 2-torsion raises
-    RuntimeError, aborting the whole survey.
+    dict; the certificate's builds do not take it.  Recoverable library
+    errors land in the record's error field.  A non-planar graph with a
+    clean scan but no detected 2-torsion raises RuntimeError, aborting the
+    whole survey.
     """
     g = parse_graph6(graph6)
     t0 = time.perf_counter()
@@ -136,7 +137,7 @@ def _cache_dir(override: Optional[str]) -> Path:
     return Path.home() / ".cache" / "cshom"
 
 
-_CACHE_VERSION = "cshom-survey/3"
+_CACHE_VERSION = "cshom-survey/4"
 
 
 def _cache_path(base: Path, graph6: str) -> Path:

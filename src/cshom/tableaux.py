@@ -166,8 +166,10 @@ def enumerate_ssyt(
     filled once each by a+1..n: a standard filling of the remaining rows
     shifted by a.  The fillings share rows 1..a and the shift keeps order,
     so they come out ascending as enumerate_syt's do.  No filling exists
-    when a exceeds the number of length-2 rows.  Raises ValueError for a shape that is not (2^k, 1^(n-2k)), a
-    weight that is not (2^a, 1^b), or unequal sizes.
+    when a exceeds the number of length-2 rows.
+
+    Raises ValueError for a shape that is not (2^k, 1^(n-2k)), a weight
+    that is not (2^a, 1^b), or unequal sizes.
     """
     if weight.n != shape.n:
         raise ValueError(f"weight size {weight.n} != shape size {shape.n}")

@@ -4,8 +4,9 @@ cell-by-cell semistandard backtracker that judges enumerate_ssyt, the
 Numbering-based rewrite with its full-scan violation finder that judges
 straighten, the per-edge degree-1 basis and per-column complex build that
 judge degree1_basis and build_restricted_complex, the unpruned Kuratowski
-search that judges _search_subdivision, and the numpy Smith normal form
-that judges smith_normal_form, and a call budget that stops a runaway
+search that judges _search_subdivision, the degree-1 straightening
+transport that judges the cycles the certificate lifts read off, the numpy
+Smith normal form that judges smith_normal_form, and a call budget that stops a runaway
 computation by counting calls instead of timing it.
 
 The reference rewrite and builds take their numberings, canonical forms
@@ -22,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from cshom.complexes import RestrictedComplex, _standard_below
+from cshom.complexes import RestrictedComplex, _standard_below, build_restricted_complex
 from cshom.errors import ComplexNotExact, StraighteningStalled
 from cshom.graphs import (
     K5_MODEL_EDGES,
@@ -389,6 +390,81 @@ def reference_build_restricted_complex(g, shape):
         d1=d1,
         d2=d2,
     )
+
+
+def _cascade_terms(rows, new_label):
+    """Rewrite (broken-edge filling + appended new-vertex box) so the new
+    vertex reaches the top row.
+
+    Repeated single-entry exchanges with the row above; each exchange flips
+    the sign and branches over the upper row's entries.  The final exchange
+    replaces one endpoint of the old top-row pair, so every leaf's top row
+    is one of the two replacement edges.
+    """
+    start = rows + ((new_label,),)
+    work = [(1, start, len(start) - 1)]
+    leaves = []
+    while work:
+        c, rows, p = work.pop()
+        if p == 0:
+            leaves.append((c, rows))
+            continue
+        upper, lower = rows[p - 1], rows[p]
+        pos = lower.index(new_label)
+        rest = lower[:pos] + lower[pos + 1 :]
+        for t, y in enumerate(upper):
+            nu = upper[:t] + (new_label,) + upper[t + 1 :]
+            nrows = rows[: p - 1] + (nu, (y,) + rest) + rows[p + 1 :]
+            work.append((-c, nrows, p - 1))
+    return leaves
+
+
+def _cycle_terms(cert):
+    """The certificate's cycle as (filling rows, coefficient) terms."""
+    basis1 = build_restricted_complex(cert.graph, cert.shape).basis1
+    return [(basis1[col][2], coeff) for col, coeff in enumerate(cert.h) if coeff]
+
+
+def _straightened_on(target, k, terms):
+    c = build_restricted_complex(target, Partition.two_column(target.n, k))
+    return straighten(terms, [f for _, _, f in c.basis1], frozen_rows=1)
+
+
+def reference_subdivision_h(cert, edges):
+    """The cycle that lift_subdivision(cert, edges) must read off, by the
+    degree-1 transport it replaced: every cycle term is carried through
+    each subdivision as row tuples (a term whose top row is the broken edge
+    by the exchange cascade, any other gaining the new vertex as a final
+    singleton box) and straightened once on the last graph."""
+    g, terms = cert.graph, _cycle_terms(cert)
+    for e in edges:
+        e = (min(e), max(e))
+        g = subdivide(g, e)
+        carried = []
+        for rows, coeff in terms:
+            if tuple(sorted(rows[0])) == e:
+                carried += [(leaf, s * coeff) for s, leaf in _cascade_terms(rows, g.n)]
+            else:
+                carried.append((rows + ((g.n,),), coeff))
+        terms = carried
+    return _straightened_on(g, cert.shape.two_column_rows(), terms)
+
+
+def reference_subgraph_h(cert, host, embedding=None):
+    """The cycle that lift_subgraph(cert, host, embedding) must read off, by
+    the degree-1 transport it replaced: every cycle term gains singleton
+    boxes n+1.. for the spare host vertices, is relabeled into the host and
+    straightened on the host complex."""
+    g = cert.graph
+    emb = dict(embedding or {v: v for v in range(1, g.n + 1)})
+    spare = sorted(set(range(1, host.n + 1)) - set(emb.values()))
+    tau = {**emb, **dict(zip(range(g.n + 1, host.n + 1), spare))}
+    boxes = tuple((t,) for t in range(g.n + 1, host.n + 1))
+    terms = [
+        (tuple(tuple(tau[x] for x in r) for r in rows + boxes), coeff)
+        for rows, coeff in _cycle_terms(cert)
+    ]
+    return _straightened_on(host, cert.shape.two_column_rows(), terms)
 
 
 def _reference_paths_between(

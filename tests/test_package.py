@@ -47,3 +47,16 @@ def test_the_numbering_layer_is_not_in_the_runtime():
     }
     for module in (cshom, cshom.tableaux):
         assert not gone & set(dir(module)), module.__name__
+
+
+def test_certificates_neither_straighten_nor_solve():
+    # the lifts carry the witness by chain maps and read h = d2 x / p off;
+    # straightening and solving belong to the builds and to the checker
+    tree = ast.parse((SRC / "certificates.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not imported & {"straighten", "straighten_columns", "solve_integer"}

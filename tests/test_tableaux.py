@@ -3,7 +3,6 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-import cshom.certificates
 import cshom.complexes
 import cshom.tableaux
 from cshom.certificates import certify_nonplanar
@@ -377,7 +376,6 @@ def test_straighten_matches_reference_on_every_pipeline_call(monkeypatch):
 
     monkeypatch.setattr(cshom.complexes, "straighten", checked)
     monkeypatch.setattr(cshom.complexes, "straighten_columns", checked_columns)
-    monkeypatch.setattr(cshom.certificates, "straighten", checked)
     builds = [(petersen_graph(), k) for k in (2, 3, 4, 5)]
     builds += [(complete_graph(8), k) for k in (2, 3, 4)]
     builds += [(complete_bipartite(range(1, 6), range(6, 11)), 2)]
@@ -473,26 +471,32 @@ def test_straighten_rejects_frozen_rows_past_the_shape():
         straighten(v, basis, frozen_rows=len(v) + 1)
 
 
-def test_straighten_builds_no_numbering_per_rewrite_step(monkeypatch):
+def test_straighten_rewrites_each_filling_once(monkeypatch):
     g = petersen_graph()
     c = build_restricted_complex(g, Partition.two_column(g.n, 3))
-    column = c.basis1[-1][2]
+    # edge 8, copy 11: a column whose rewrite reaches some fillings from
+    # more than one parent, so only the memo keeps them from being
+    # rewritten again
+    column = c.basis1[150][2]
     want = reference_straighten(column, c.basis0)
-    # the column needs rewrite steps
-    assert column not in c.basis0
     assert sum(1 for x in want if x) > 1
 
-    constructed = []
-    real_post_init = Numbering.__post_init__
+    rewritten = []
+    reached = []
+    real_rewrite = cshom.tableaux._rewrite
 
-    def counting_post_init(self):
-        constructed.append(self)
-        real_post_init(self)
+    def counting(rows, r, col, blocks):
+        rewritten.append(rows)
+        children = real_rewrite(rows, r, col, blocks)
+        reached.extend(child for _, child in children)
+        return children
 
-    monkeypatch.setattr(Numbering, "__post_init__", counting_post_init)
+    monkeypatch.setattr(cshom.tableaux, "_rewrite", counting)
     got = straighten(column, c.basis0)
     assert got == want
-    assert constructed == []
+    assert rewritten
+    assert any(reached.count(rows) > 1 for rows in rewritten)
+    assert len(set(rewritten)) == len(rewritten)
 
 
 def test_straighten_canonicalizes_each_input_term_once(monkeypatch):
